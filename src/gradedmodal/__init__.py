@@ -50,8 +50,8 @@ from .equivalence import (
     atomic_history,
     bounded_equivalence,
     full_graded_bisimilarity,
-    graded_equivalence,
     refine,
+    refine_to,
     relation_is_graded_bisimulation,
     type_descriptor,
 )

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .equivalence import atomic_history, bounded_equivalence, refine, type_descriptor
+from .equivalence import _descriptor_levels, bounded_equivalence, refine_to
 from .errors import GradedModalError, ResourceLimitError, SignatureError
-from .kripke import KripkeStructure, PointedStructure, Signature
+from .kripke import KripkeStructure, PointedStructure, Signature, disjoint_union, part_offsets
 from .semantics import satisfies
 from .syntax import (
     And,
@@ -53,6 +53,9 @@ def _atomic_description(sig: Signature, atoms: tuple[bool, ...]) -> Formula:
 
 
 def _grade_conjuncts(agent: str, capped: int, cap: int, child: Formula) -> list[Formula]:
+    if capped == 0:
+        # Denying grade 1 already denies every higher grade.
+        return [Not(Diamond(agent, 1, child))] if cap >= 1 else []
     conjuncts: list[Formula] = []
     for k in range(1, capped + 1):
         conjuncts.append(Diamond(agent, k, child))
@@ -86,9 +89,7 @@ def characteristic_formula(
             raise ValueError("catalog bounds do not cover the requested bounds")
         return _characteristic_via_catalog(target, cap, depth, catalog)
 
-    history = atomic_history(m, cap)
-    for _ in range(depth):
-        history = refine(history)
+    history = refine_to(m, cap, depth=depth)
 
     memo: dict[tuple[int, int], Formula] = {}
 
@@ -103,15 +104,12 @@ def characteristic_formula(
             formula = _atomic_description(sig, atoms)
         else:
             conjuncts = [class_formula(level - 1, history.levels[level - 1][rep])]
+            vector = history.count_vector(rep, level - 1)
             for agent in sig.agents:
-                counts: dict[int, int] = {}
-                for v in m.successors(agent, rep):
-                    child_cls = history.levels[level - 1][v]
-                    counts[child_cls] = counts.get(child_cls, 0) + 1
-                realized = sorted(counts)
+                realized = sorted(vector[agent])
                 for child_cls in realized:
                     child = class_formula(level - 1, child_cls)
-                    capped = min(counts[child_cls], cap)
+                    capped = vector[agent][child_cls]
                     conjuncts.extend(_grade_conjuncts(agent, capped, cap, child))
                 if exclude_unrealized and cap >= 1:
                     body = or_all([class_formula(level - 1, c) for c in realized])
@@ -128,9 +126,7 @@ def _characteristic_via_catalog(
 ) -> Formula:
     m = target.structure
     sig = m.signature
-    level_descs = [
-        [type_descriptor(m, w, cap, lvl) for w in m.worlds()] for lvl in range(depth + 1)
-    ]
+    level_descs = _descriptor_levels(m, cap, depth)
 
     def world_formula(level: int, world: int) -> Formula:
         if level == 0:
@@ -144,11 +140,7 @@ def _characteristic_via_catalog(
             for d in catalog.descriptors(level - 1):
                 child = catalog.formula_for(level - 1, d)
                 capped = min(counts.get(d, 0), cap)
-                if capped == 0:
-                    if cap >= 1:
-                        conjuncts.append(Not(Diamond(agent, 1, child)))
-                else:
-                    conjuncts.extend(_grade_conjuncts(agent, capped, cap, child))
+                conjuncts.extend(_grade_conjuncts(agent, capped, cap, child))
         return and_all(conjuncts)
 
     return world_formula(depth, target.point)
@@ -264,15 +256,14 @@ def enumerate_types(
     depth: int,
     *,
     max_entries: int = 5000,
-    verify: bool = True,
 ) -> TypeCatalog:
     """Materialize every type at the bound with a formula and a canonical model.
 
     The catalog size is computed up front and guarded before any
     materialization.  Canonical models realize a type as a tree with exactly
-    n children per child type, n being the capped count.  With ``verify``
-    the pairwise inequivalence of all canonical models is re-checked by
-    refining their disjoint union.
+    n children per child type, n being the capped count.  The pairwise
+    inequivalence of all canonical models is re-checked by refining their
+    disjoint union.
     """
     if cap < 0 or depth < 0:
         raise ValueError("cap and depth must be nonnegative")
@@ -310,14 +301,8 @@ def enumerate_types(
                     for d in prev:
                         child_formula = level_formulas[level - 1][d]
                         n = cm.get(d, 0)
-                        if n == 0:
-                            if cap >= 1:
-                                conjuncts.append(Not(Diamond(agent, 1, child_formula)))
-                        else:
-                            conjuncts.extend(_grade_conjuncts(agent, n, cap, child_formula))
-                            children.extend(
-                                (agent, level_models[level - 1][d]) for _ in range(n)
-                            )
+                        conjuncts.extend(_grade_conjuncts(agent, n, cap, child_formula))
+                        children.extend((agent, level_models[level - 1][d]) for _ in range(n))
                 descs.append(desc)
                 models[desc] = _realize(sig, atoms, children)
                 formulas[desc] = and_all(conjuncts)
@@ -343,22 +328,16 @@ def enumerate_types(
             for lvl in range(depth + 1)
         ),
     )
-    if verify:
-        _verify_catalog(catalog)
+    _verify_catalog(catalog)
     return catalog
 
 
 def _verify_catalog(catalog: TypeCatalog):
-    from .kripke import disjoint_union, part_offsets
-
     models = [e.model.structure for e in catalog.entries]
     if len(models) < 2:
         return
-    arena = disjoint_union(models)
     offsets = part_offsets(models)
-    history = atomic_history(arena, catalog.cap, offsets)
-    for _ in range(catalog.depth):
-        history = refine(history)
+    history = refine_to(disjoint_union(models), catalog.cap, offsets, catalog.depth)
     final = history.levels[-1]
     points = [final[off + e.model.point] for off, e in zip(offsets, catalog.entries)]
     if len(set(points)) != len(points):

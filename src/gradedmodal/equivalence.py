@@ -75,6 +75,44 @@ class ColorHistory:
         }
 
 
+def _atom_keys(m: KripkeStructure) -> list[tuple[bool, ...]]:
+    return [tuple(w in m.valuation[p] for p in m.signature.props) for w in m.worlds()]
+
+
+def _level_keys(m: KripkeStructure, prev: list, cap: Optional[int]) -> list:
+    """The refinement key of every world, one whole level per call.
+
+    A world's key is its previous label plus, per agent, the sorted
+    (label, count) pairs of its successors' previous labels, counts capped
+    at ``cap`` (pairs capped to zero dropped) unless ``cap`` is None.
+    Labels may be class ids or nested descriptors alike.
+    """
+    agents = m.signature.agents
+    keys = []
+    for world in m.worlds():
+        parts = []
+        for agent in agents:
+            counts: dict = {}
+            for v in m.successors(agent, world):
+                label = prev[v]
+                counts[label] = counts.get(label, 0) + 1
+            if cap is not None:
+                entries = tuple(
+                    sorted((label, min(n, cap)) for label, n in counts.items() if min(n, cap) > 0)
+                )
+            else:
+                entries = tuple(sorted(counts.items()))
+            parts.append(entries)
+        keys.append((prev[world], tuple(parts)))
+    return keys
+
+
+def _ranks(keys: list) -> tuple[int, ...]:
+    """Canonical class ids: the rank of each key among the sorted distinct keys."""
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return tuple(rank[key] for key in keys)
+
+
 def atomic_history(
     arena: KripkeStructure,
     cap: Optional[int],
@@ -83,13 +121,7 @@ def atomic_history(
     """Level-0 history: worlds partitioned by their atomic type."""
     if cap is not None and cap < 0:
         raise ValueError("cap must be nonnegative")
-    keys = [
-        tuple(w in arena.valuation[p] for p in arena.signature.props)
-        for w in arena.worlds()
-    ]
-    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-    level0 = tuple(rank[key] for key in keys)
-    return ColorHistory(arena, cap, offsets, (level0,))
+    return ColorHistory(arena, cap, offsets, (_ranks(_atom_keys(arena)),))
 
 
 def refine(history: ColorHistory) -> ColorHistory:
@@ -98,26 +130,34 @@ def refine(history: ColorHistory) -> ColorHistory:
     Two worlds share a new class iff they share the old one and their capped
     per-agent, per-old-class successor counts coincide.
     """
-    arena = history.arena
-    prev = history.levels[-1]
-    cap = history.cap
-    keys = []
-    for world in arena.worlds():
-        parts = []
-        for agent in arena.signature.agents:
-            counts: dict[int, int] = {}
-            for v in arena.successors(agent, world):
-                cls = prev[v]
-                counts[cls] = counts.get(cls, 0) + 1
-            if cap is not None:
-                entries = tuple(sorted((cls, min(n, cap)) for cls, n in counts.items() if min(n, cap) > 0))
-            else:
-                entries = tuple(sorted(counts.items()))
-            parts.append(entries)
-        keys.append((prev[world], tuple(parts)))
-    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-    new_level = tuple(rank[key] for key in keys)
-    return ColorHistory(arena, cap, history.part_offsets, history.levels + (new_level,))
+    keys = _level_keys(history.arena, history.levels[-1], history.cap)
+    return ColorHistory(
+        history.arena, history.cap, history.part_offsets, history.levels + (_ranks(keys),)
+    )
+
+
+def refine_to(
+    arena: KripkeStructure,
+    cap: Optional[int],
+    offsets: tuple[int, ...] = (0,),
+    depth: Optional[int] = None,
+) -> ColorHistory:
+    """The refinement kernel: ``depth`` rounds from the atomic level.
+
+    With ``depth=None`` refinement runs to its fixed point: the history ends
+    at the first level that repeats its predecessor.
+    """
+    history = atomic_history(arena, cap, offsets)
+    if depth is not None:
+        for _ in range(depth):
+            history = refine(history)
+        return history
+    for _ in range(arena.world_count):
+        history = refine(history)
+        if history.is_stable():
+            return history
+    # |arena| strict refinements of a |arena|-element set are impossible.
+    raise AssertionError("refinement failed to stabilize")
 
 
 @dataclass(frozen=True)
@@ -152,58 +192,35 @@ class EquivalenceResult:
         return frozenset(pairs)
 
 
-def _build_arena(a: PointedStructure, b: PointedStructure):
+def _verdict(
+    a: PointedStructure, b: PointedStructure, cap: Optional[int], depth: Optional[int]
+) -> EquivalenceResult:
     if a.signature != b.signature:
         raise SignatureError("the two structures carry different signatures")
-    arena = disjoint_union([a.structure, b.structure])
-    offsets = part_offsets([a.structure, b.structure])
-    return arena, offsets
-
-
-def bounded_equivalence(
-    a: PointedStructure, b: PointedStructure, cap: int, depth: int
-) -> EquivalenceResult:
-    """Cost-bounded equivalence: ``depth`` rounds of cap-``cap`` refinement."""
-    if cap < 0 or depth < 0:
-        raise ValueError("cap and depth must be nonnegative")
-    arena, offsets = _build_arena(a, b)
-    history = atomic_history(arena, cap, offsets)
-    for _ in range(depth):
-        history = refine(history)
+    parts = [a.structure, b.structure]
+    offsets = part_offsets(parts)
+    history = refine_to(disjoint_union(parts), cap, offsets, depth)
     points = (a.point, offsets[1] + b.point)
     return EquivalenceResult(
         history.class_of(points[0]) == history.class_of(points[1]), history, points
     )
 
 
-def graded_equivalence(a: PointedStructure, b: PointedStructure, depth: int) -> bool:
-    """Exact-count equivalence after ``depth`` refinement rounds."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    arena, offsets = _build_arena(a, b)
-    history = atomic_history(arena, None, offsets)
-    for _ in range(depth):
-        history = refine(history)
-    return history.class_of(a.point) == history.class_of(offsets[1] + b.point)
+def bounded_equivalence(
+    a: PointedStructure, b: PointedStructure, cap: Optional[int], depth: int
+) -> EquivalenceResult:
+    """Cost-bounded equivalence: ``depth`` rounds of cap-``cap`` refinement.
+
+    ``cap=None`` counts successors exactly (graded equivalence at ``depth``).
+    """
+    if (cap is not None and cap < 0) or depth < 0:
+        raise ValueError("cap and depth must be nonnegative")
+    return _verdict(a, b, cap, depth)
 
 
 def full_graded_bisimilarity(a: PointedStructure, b: PointedStructure) -> EquivalenceResult:
     """Unbounded counting bisimilarity: exact refinement run to a fixed point."""
-    arena, offsets = _build_arena(a, b)
-    history = atomic_history(arena, None, offsets)
-    for _ in range(arena.world_count):
-        nxt = refine(history)
-        if nxt.levels[-1] == nxt.levels[-2]:
-            history = nxt
-            break
-        history = nxt
-    else:
-        # |arena| strict refinements of a |arena|-element set are impossible.
-        raise AssertionError("refinement failed to stabilize")
-    points = (a.point, offsets[1] + b.point)
-    return EquivalenceResult(
-        history.class_of(points[0]) == history.class_of(points[1]), history, points
-    )
+    return _verdict(a, b, None, None)
 
 
 def _max_matching(
@@ -296,6 +313,14 @@ def relation_is_graded_bisimulation(
     return RelationCheck(True)
 
 
+def _descriptor_levels(m: KripkeStructure, cap: Optional[int], depth: int) -> list[list]:
+    """Per level 0..depth, the inductive type descriptor of every world."""
+    levels = [_atom_keys(m)]
+    for _ in range(depth):
+        levels.append(_level_keys(m, levels[-1], cap))
+    return levels
+
+
 def type_descriptor(
     m: KripkeStructure, world: int, cap: Optional[int], depth: int
 ):
@@ -305,29 +330,4 @@ def type_descriptor(
     they are equivalent at that cap and depth; this is the value-level twin
     of the refinement classes and is arena-independent.
     """
-    descs: list[list] = [
-        [
-            tuple(w in m.valuation[p] for p in m.signature.props)
-            for w in m.worlds()
-        ]
-    ]
-    for _ in range(depth):
-        prev = descs[-1]
-        level = []
-        for u in m.worlds():
-            parts = []
-            for agent in m.signature.agents:
-                counts: dict = {}
-                for v in m.successors(agent, u):
-                    d = prev[v]
-                    counts[d] = counts.get(d, 0) + 1
-                if cap is not None:
-                    entries = tuple(
-                        sorted((d, min(n, cap)) for d, n in counts.items() if min(n, cap) > 0)
-                    )
-                else:
-                    entries = tuple(sorted(counts.items()))
-                parts.append(entries)
-            level.append((prev[u], tuple(parts)))
-        descs.append(level)
-    return descs[depth][world]
+    return _descriptor_levels(m, cap, depth)[depth][world]

@@ -424,6 +424,13 @@ def _unravel_size(pointed: PointedStructure, depth: int) -> int:
     return total + m.world_count
 
 
+# Cost guards of the pipeline: the radius at which the restrictions are
+# compared by back-and-forth (and up to which the cap search looks), and the
+# world bound of the cap search.
+FO_CHECK_RADIUS = 1
+CAP_SEARCH_SIZE_BOUND = 6
+
+
 def upgrade_pipeline(
     modal_formula: Formula,
     a: PointedStructure,
@@ -431,8 +438,6 @@ def upgrade_pipeline(
     *,
     cap: Optional[int] = None,
     radius_override: Optional[int] = None,
-    fo_check_radius: int = 1,
-    cap_search_size_bound: int = 6,
     max_worlds: int = 20_000,
     max_states: int = 2_000_000,
 ) -> UpgradeReport:
@@ -446,7 +451,7 @@ def upgrade_pipeline(
     unravellings, and, when the inputs are equivalent at (cap, radius),
     agreement of the restricted tree parts and of the end-to-end truth
     values.  The bounded back-and-forth check between restrictions runs at
-    ``fo_check_radius`` as a cost guard, which the report documents.
+    radius ``FO_CHECK_RADIUS`` as a cost guard, which the report documents.
     """
     if a.signature != b.signature:
         raise SignatureError("the two structures carry different signatures")
@@ -458,12 +463,12 @@ def upgrade_pipeline(
         notes.append(f"radius overridden to {radius}")
 
     if cap is None:
-        search_radius = min(radius, fo_check_radius)
-        search = find_cap(q, search_radius, a.signature, cap_search_size_bound)
+        search_radius = min(radius, FO_CHECK_RADIUS)
+        search = find_cap(q, search_radius, a.signature, CAP_SEARCH_SIZE_BOUND)
         cap = search.cap
         cap_source = (
             f"searched at q={q}, radius={search_radius}, "
-            f"size bound {cap_search_size_bound}"
+            f"size bound {CAP_SEARCH_SIZE_BOUND}"
         )
         if search_radius != radius:
             notes.append(
@@ -494,40 +499,29 @@ def upgrade_pipeline(
     ):
         vals[label] = fo_eval(pointed.structure, {var: pointed.point}, fo)
 
-    record(
-        "unravelling is fully bisimilar (left)",
-        bool(full_graded_bisimilarity(a, a_star)),
-    )
-    record(
-        "unravelling is fully bisimilar (right)",
-        bool(full_graded_bisimilarity(b, b_star)),
-    )
-    record(
-        "translated formula invariant under unravelling (left)",
-        vals["left"] == vals["left*"],
-        f"{vals['left']} vs {vals['left*']}",
-    )
-    record(
-        "translated formula invariant under unravelling (right)",
-        vals["right"] == vals["right*"],
-        f"{vals['right']} vs {vals['right*']}",
-    )
-    record(
-        "unravelling rooted-tree-like (left)",
-        bool(is_rooted_treelike(a_star.structure, a_star.point, radius)),
-    )
-    record(
-        "unravelling rooted-tree-like (right)",
-        bool(is_rooted_treelike(b_star.structure, b_star.point, radius)),
-    )
-    record(
-        "translated formula local on unravelling (left)",
-        is_l_local(fo, a_star, radius),
-    )
-    record(
-        "translated formula local on unravelling (right)",
-        is_l_local(fo, b_star, radius),
-    )
+    sides = (("left", a, a_star), ("right", b, b_star))
+    for name, pointed, star in sides:
+        record(
+            f"unravelling is fully bisimilar ({name})",
+            bool(full_graded_bisimilarity(pointed, star)),
+        )
+    for name, _, _ in sides:
+        before, after = vals[name], vals[name + "*"]
+        record(
+            f"translated formula invariant under unravelling ({name})",
+            before == after,
+            f"{before} vs {after}",
+        )
+    for name, _, star in sides:
+        record(
+            f"unravelling rooted-tree-like ({name})",
+            bool(is_rooted_treelike(star.structure, star.point, radius)),
+        )
+    for name, _, star in sides:
+        record(
+            f"translated formula local on unravelling ({name})",
+            is_l_local(fo, star, radius),
+        )
 
     equivalent = bool(bounded_equivalence(a, b, cap, radius))
     steps.append(
@@ -559,20 +553,20 @@ def upgrade_pipeline(
         )
         try:
             fo_eq = fo_q_equivalent(
-                restricted(a_star, fo_check_radius),
-                restricted(b_star, fo_check_radius),
+                restricted(a_star, FO_CHECK_RADIUS),
+                restricted(b_star, FO_CHECK_RADIUS),
                 q,
                 max_states=max_states,
             )
             record(
-                f"restrictions to radius {fo_check_radius} agree up to "
+                f"restrictions to radius {FO_CHECK_RADIUS} agree up to "
                 f"quantifier rank {q}",
                 fo_eq,
             )
         except ResourceLimitError:
             steps.append(
                 StepReport(
-                    f"restrictions to radius {fo_check_radius} agree up to "
+                    f"restrictions to radius {FO_CHECK_RADIUS} agree up to "
                     f"quantifier rank {q}",
                     "skipped",
                     "back-and-forth budget exceeded",
@@ -588,7 +582,7 @@ def upgrade_pipeline(
         steps.append(StepReport("end-to-end truth values agree", "skipped"))
     notes.append(
         f"bounded back-and-forth between restrictions checked at radius "
-        f"{fo_check_radius} (cost guard)"
+        f"{FO_CHECK_RADIUS} (cost guard)"
     )
 
     return UpgradeReport(
@@ -598,7 +592,7 @@ def upgrade_pipeline(
         radius,
         cap,
         cap_source,
-        fo_check_radius,
+        FO_CHECK_RADIUS,
         tuple(steps),
         tuple(notes),
     )

@@ -10,8 +10,9 @@ position.  A player who cannot move loses, and the duplicator also loses at
 any position whose two worlds differ atomically.
 
 This module is the independent oracle for the refinement-based equivalences:
-it never consults a ColorHistory unless class pruning is explicitly
-requested.
+it imports nothing from the equivalence module and never consults a
+ColorHistory.  The two players' roles are symmetric in the sides, so every
+stage is written once with the challenged side as a parameter.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .equivalence import atomic_history, refine
 from .errors import ResourceLimitError, SignatureError
-from .kripke import KripkeStructure, PointedStructure, disjoint_union
+from .kripke import KripkeStructure, PointedStructure
 
 DUPLICATOR = "duplicator"
 SPOILER = "spoiler"
@@ -141,48 +141,42 @@ class _Budget:
 
 
 def _atom_masks(a: KripkeStructure, b: KripkeStructure) -> list[int]:
-    props = a.signature.props
-    b_types = [
-        tuple(w in b.valuation[p] for p in props) for w in b.worlds()
-    ]
-    masks = []
-    for u in a.worlds():
-        t = tuple(u in a.valuation[p] for p in props)
-        mask = 0
-        for w, bt in enumerate(b_types):
-            if bt == t:
-                mask |= 1 << w
-        masks.append(mask)
-    return masks
+    """Per left world, the mask of the right worlds with the same atoms."""
+    same: dict[tuple[str, ...], int] = {}
+    for w in b.worlds():
+        atoms = b.props_of(w)
+        same[atoms] = same.get(atoms, 0) | 1 << w
+    return [same.get(a.props_of(u), 0) for u in a.worlds()]
 
 
-def _spoiler_sets(successors: tuple[int, ...], cap: int, groups=None):
-    """All spoiler choices over the given successors, sizes 1..cap.
+def _successor_masks(m: KripkeStructure) -> dict[str, list[int]]:
+    return {
+        agent: [sum(1 << v for v in m.successors(agent, w)) for w in m.worlds()]
+        for agent in m.signature.agents
+    }
 
-    With ``groups`` (a class id per world), enumeration is collapsed to one
-    representative set per class-count multiset: picking different members
-    of one refinement class is interchangeable for both players.
+
+def _spoiler_sets(successors: tuple[int, ...], cap: int):
+    """All spoiler choices over the given successors, sizes 1..cap."""
+    for size in range(1, min(cap, len(successors)) + 1):
+        yield from combinations(successors, size)
+
+
+def _challenges(ka: KripkeStructure, kb: KripkeStructure, agent: str, u: int, v: int):
+    """The two sides an ``agent`` challenge at (u, v) can take, left first.
+
+    Each entry is (side, spoiler's successors, duplicator's successors).
     """
-    if groups is None:
-        for size in range(1, min(cap, len(successors)) + 1):
-            yield from combinations(successors, size)
-        return
-    by_class: dict[int, list[int]] = {}
-    for v in successors:
-        by_class.setdefault(groups[v], []).append(v)
-    classes = [sorted(members) for _, members in sorted(by_class.items())]
+    left = ka.successors(agent, u)
+    right = kb.successors(agent, v)
+    return (("left", left, right), ("right", right, left))
 
-    # Enumerate count vectors over classes; sets come out sorted per class.
-    def vectors(idx: int, budget: int, acc: tuple[int, ...]):
-        if idx == len(classes):
-            if acc:
-                yield acc
-            return
-        members = classes[idx]
-        for take in range(0, min(budget, len(members)) + 1):
-            yield from vectors(idx + 1, budget - take, acc + tuple(members[:take]))
 
-    yield from vectors(0, cap, ())
+def _oriented(side: str, spoiler_world: int, duplicator_world: int) -> tuple[int, int]:
+    """Order a (spoiler-side world, duplicator-side world) pair as (left, right)."""
+    if side == "left":
+        return spoiler_world, duplicator_world
+    return duplicator_world, spoiler_world
 
 
 def solve_game(
@@ -191,7 +185,6 @@ def solve_game(
     cap: int,
     rounds: int,
     *,
-    use_class_pruning: bool = False,
     max_steps: int = 5_000_000,
 ) -> GameResult:
     """Exact value of the bounded game, with a strategy for the winner.
@@ -211,34 +204,17 @@ def solve_game(
     agents = ka.signature.agents
     budget = _Budget(max_steps)
 
-    groups_a = groups_b = None
-    if use_class_pruning and rounds > 0:
-        arena = disjoint_union([ka, kb])
-        history = atomic_history(arena, cap, (0, na))
-        for _ in range(max(rounds - 1, 0)):
-            history = refine(history)
-        final = history.levels[-1]
-        groups_a = list(final[:na])
-        groups_b = list(final[na:])
-
     atom = _atom_masks(ka, kb)
-    succ_b_mask = {
-        agent: [
-            sum(1 << v for v in kb.successors(agent, w)) for w in range(nb)
-        ]
-        for agent in agents
-    }
-    succ_a_mask = {
-        agent: [
-            sum(1 << v for v in ka.successors(agent, w)) for w in range(na)
-        ]
-        for agent in agents
-    }
+    succ_a_mask = _successor_masks(ka)
+    succ_b_mask = _successor_masks(kb)
 
     # win[u] = bitmask of right worlds v such that the duplicator wins (u, v)
     # with the current number of rounds left; winT is its transpose.
+    # tables[side][m] is the table with m rounds left indexed by a world on
+    # that side, so it masks the worlds on the opposite side.
     win = list(atom)
     levels = [win]
+    transposes = []
     for _ in range(rounds):
         winT = [0] * nb
         for u in range(na):
@@ -247,6 +223,7 @@ def solve_game(
                 low = row & -row
                 winT[low.bit_length() - 1] |= 1 << u
                 row ^= low
+        transposes.append(winT)
         new = []
         for u in range(na):
             mask = 0
@@ -257,145 +234,112 @@ def solve_game(
                 candidates ^= low
                 if _duplicator_survives(
                     ka, kb, u, v, cap, agents, win, winT,
-                    succ_a_mask, succ_b_mask, groups_a, groups_b, budget,
+                    succ_a_mask, succ_b_mask, budget,
                 ):
                     mask |= low
             new.append(mask)
         win = new
         levels.append(win)
+    tables = {"left": levels, "right": transposes}
 
     dup_wins = bool(levels[rounds][a.point] >> b.point & 1)
     winner = DUPLICATOR if dup_wins else SPOILER
     start = GamePosition(a.point, b.point, rounds)
-    if dup_wins:
-        strategy = _extract_duplicator(
-            ka, kb, a.point, b.point, cap, rounds, agents, levels, budget
-        )
-    else:
-        strategy = _extract_spoiler(
-            ka, kb, a.point, b.point, cap, rounds, agents, levels, budget
-        )
+    extract = _extract_duplicator if dup_wins else _extract_spoiler
+    strategy = extract(ka, kb, a.point, b.point, cap, rounds, agents, tables, budget)
     return GameResult(winner, cap, rounds, start, MappingProxyType(strategy))
 
 
 def _duplicator_survives(
-    ka, kb, u, v, cap, agents, win, winT,
-    succ_a_mask, succ_b_mask, groups_a, groups_b, budget,
+    ka, kb, u, v, cap, agents, win, winT, succ_a_mask, succ_b_mask, budget,
 ) -> bool:
     for agent in agents:
-        sa = ka.successors(agent, u)
-        sb = kb.successors(agent, v)
-        sb_mask = succ_b_mask[agent][v]
-        for chosen in _spoiler_sets(sa, cap, groups_a):
-            budget.spend()
-            cover = 0
-            for x in chosen:
-                cover |= win[x]
-            cover &= sb_mask
-            if cover.bit_count() < len(chosen):
-                return False
-        sa_mask = succ_a_mask[agent][u]
-        for chosen in _spoiler_sets(sb, cap, groups_b):
-            budget.spend()
-            cover = 0
-            for y in chosen:
-                cover |= winT[y]
-            cover &= sa_mask
-            if cover.bit_count() < len(chosen):
-                return False
+        for side, mine, _ in _challenges(ka, kb, agent, u, v):
+            if side == "left":
+                wins, theirs_mask = win, succ_b_mask[agent][v]
+            else:
+                wins, theirs_mask = winT, succ_a_mask[agent][u]
+            for chosen in _spoiler_sets(mine, cap):
+                budget.spend()
+                cover = 0
+                for x in chosen:
+                    cover |= wins[x]
+                if (cover & theirs_mask).bit_count() < len(chosen):
+                    return False
     return True
 
 
-def _extract_duplicator(ka, kb, u0, v0, cap, rounds, agents, levels, budget):
+def _covered_challenges(ka, kb, u, v, m, cap, agents, tables, budget):
+    """Every spoiler challenge at (u, v, m), agent by agent, left before right.
+
+    Yields the move, the duplicator's successors, the table of duplicator
+    wins with m - 1 rounds left indexed by the challenged side, and the
+    duplicator's successors that win against some challenged world.
+    """
+    for agent in agents:
+        for side, mine, theirs in _challenges(ka, kb, agent, u, v):
+            wins = tables[side][m - 1]
+            for chosen in _spoiler_sets(mine, cap):
+                budget.spend()
+                cover = 0
+                for x in chosen:
+                    cover |= wins[x]
+                covered = [y for y in theirs if cover >> y & 1]
+                yield SpoilerMove(side, agent, chosen), theirs, wins, covered
+
+
+def _extract_duplicator(ka, kb, u0, v0, cap, rounds, agents, tables, budget):
     strategy: dict = {}
 
-    def dup_wins(u, v, m) -> bool:
-        return bool(levels[m][u] >> v & 1)
-
     def visit(u, v, m):
-        if (u, v, m) in strategy or m == 0:
-            if m == 0:
-                strategy.setdefault((u, v, 0), {})
+        if (u, v, m) in strategy:
+            return
+        if m == 0:
+            strategy[(u, v, 0)] = {}
             return
         moves: dict = {}
-        for agent in agents:
-            sa = ka.successors(agent, u)
-            sb = kb.successors(agent, v)
-            for chosen in _spoiler_sets(sa, cap):
-                budget.spend()
-                covered = [y for y in sb if any(dup_wins(x, y, m - 1) for x in chosen)]
-                response = tuple(covered[: len(chosen)])
-                matches = {
-                    y: next(x for x in chosen if dup_wins(x, y, m - 1))
-                    for y in response
-                }
-                moves[SpoilerMove("left", agent, chosen)] = DuplicatorMove(response, matches)
-            for chosen in _spoiler_sets(sb, cap):
-                budget.spend()
-                covered = [x for x in sa if any(dup_wins(x, y, m - 1) for y in chosen)]
-                response = tuple(covered[: len(chosen)])
-                matches = {
-                    x: next(y for y in chosen if dup_wins(x, y, m - 1))
-                    for x in response
-                }
-                moves[SpoilerMove("right", agent, chosen)] = DuplicatorMove(response, matches)
+        for move, _, wins, covered in _covered_challenges(
+            ka, kb, u, v, m, cap, agents, tables, budget
+        ):
+            response = tuple(covered[: len(move.chosen)])
+            matches = {
+                y: next(x for x in move.chosen if wins[x] >> y & 1) for y in response
+            }
+            moves[move] = DuplicatorMove(response, matches)
         strategy[(u, v, m)] = moves
         for move, answer in moves.items():
             for pick, reply in answer.matches.items():
-                if move.side == "left":
-                    visit(reply, pick, m - 1)
-                else:
-                    visit(pick, reply, m - 1)
+                visit(*_oriented(move.side, reply, pick), m - 1)
 
     visit(u0, v0, rounds)
     return strategy
 
 
-def _extract_spoiler(ka, kb, u0, v0, cap, rounds, agents, levels, budget):
+def _extract_spoiler(ka, kb, u0, v0, cap, rounds, agents, tables, budget):
     strategy: dict = {}
-
-    def dup_wins(u, v, m) -> bool:
-        return bool(levels[m][u] >> v & 1)
-
-    def find_move(u, v, m):
-        for agent in agents:
-            sa = ka.successors(agent, u)
-            sb = kb.successors(agent, v)
-            for chosen in _spoiler_sets(sa, cap):
-                budget.spend()
-                covered = {y for y in sb if any(dup_wins(x, y, m - 1) for x in chosen)}
-                if len(covered) < len(chosen):
-                    return "left", agent, chosen, covered
-            for chosen in _spoiler_sets(sb, cap):
-                budget.spend()
-                covered = {x for x in sa if any(dup_wins(x, y, m - 1) for y in chosen)}
-                if len(covered) < len(chosen):
-                    return "right", agent, chosen, covered
-        raise AssertionError("spoiler-won position without a winning move")
+    atom = tables["left"][0]
 
     def visit(u, v, m):
         if (u, v, m) in strategy:
             return
-        atom_equal = all(
-            (u in ka.valuation[p]) == (v in kb.valuation[p])
-            for p in ka.signature.props
-        )
-        if not atom_equal:
+        if not atom[u] >> v & 1:
             strategy[(u, v, m)] = None
             return
-        side, agent, chosen, covered = find_move(u, v, m)
-        opposite = kb.successors(agent, v) if side == "left" else ka.successors(agent, u)
+        for move, theirs, _, covered in _covered_challenges(
+            ka, kb, u, v, m, cap, agents, tables, budget
+        ):
+            if len(covered) < len(move.chosen):
+                break
+        else:
+            raise AssertionError("spoiler-won position without a winning move")
         picks: dict = {}
-        for response in combinations(opposite, len(chosen)):
+        for response in combinations(theirs, len(move.chosen)):
             budget.spend()
             pick = next(p for p in response if p not in covered)
             picks[response] = pick
-            for reply in chosen:
-                if side == "left":
-                    visit(reply, pick, m - 1)
-                else:
-                    visit(pick, reply, m - 1)
-        strategy[(u, v, m)] = SpoilerPlay(SpoilerMove(side, agent, chosen), picks)
+            for reply in move.chosen:
+                visit(*_oriented(move.side, reply, pick), m - 1)
+        strategy[(u, v, m)] = SpoilerPlay(move, picks)
 
     visit(u0, v0, rounds)
     return strategy
@@ -411,8 +355,8 @@ def verify_strategy(
     """Replay every opposing move against the certificate.
 
     Returns True iff the claimed winner never loses under the stored
-    strategy; a strategy that is not total on a reached position is
-    rejected.
+    strategy; a strategy that is not total on a reached position, or that
+    makes an illegal move, is rejected.
     """
     cap = result.cap if cap is None else cap
     rounds = result.rounds if rounds is None else rounds
@@ -425,86 +369,65 @@ def verify_strategy(
             for p in ka.signature.props
         )
 
-    memo: dict[tuple[int, int, int], bool] = {}
-
-    def check_duplicator(u, v, m) -> bool:
-        key = (u, v, m)
-        if key in memo:
-            return memo[key]
-        memo[key] = True  # positions do not recur within one branch
-        if not atom_equal(u, v):
-            memo[key] = False
-            return False
-        if m == 0:
-            return True
-        moves = result.strategy.get(key)
+    def duplicator_holds(u, v, m) -> bool:
+        moves = result.strategy.get((u, v, m))
         if moves is None:
-            memo[key] = False
             return False
         for agent in agents:
-            for side, mine, theirs in (
-                ("left", ka.successors(agent, u), kb.successors(agent, v)),
-                ("right", kb.successors(agent, v), ka.successors(agent, u)),
-            ):
+            for side, mine, theirs in _challenges(ka, kb, agent, u, v):
                 for chosen in _spoiler_sets(mine, cap):
                     answer = moves.get(SpoilerMove(side, agent, chosen))
                     if answer is None:
-                        memo[key] = False
                         return False
                     response = answer.response
-                    if len(response) != len(chosen) or len(set(response)) != len(response):
-                        memo[key] = False
-                        return False
-                    if any(p not in theirs for p in response):
-                        memo[key] = False
+                    distinct = set(response)
+                    if not (
+                        len(distinct) == len(response) == len(chosen)
+                        and distinct.issubset(theirs)
+                    ):
                         return False
                     for pick in response:
                         reply = answer.matches.get(pick)
                         if reply is None or reply not in chosen:
-                            memo[key] = False
                             return False
-                        nxt = (reply, pick) if side == "left" else (pick, reply)
-                        if not check_duplicator(nxt[0], nxt[1], m - 1):
-                            memo[key] = False
+                        if not holds(*_oriented(side, reply, pick), m - 1):
                             return False
         return True
 
-    def check_spoiler(u, v, m) -> bool:
-        key = (u, v, m)
-        if key in memo:
-            return memo[key]
-        memo[key] = True
-        if not atom_equal(u, v):
-            return True
-        if m == 0:
-            memo[key] = False
-            return False
-        entry = result.strategy.get(key, "missing")
-        if not isinstance(entry, SpoilerPlay):
-            memo[key] = False
+    def spoiler_wins(u, v, m) -> bool:
+        entry = result.strategy.get((u, v, m))
+        if not isinstance(entry, SpoilerPlay) or entry.move.agent not in agents:
             return False
         side, agent, chosen = entry.move.side, entry.move.agent, entry.move.chosen
-        picks = entry.picks
-        mine = ka.successors(agent, u) if side == "left" else kb.successors(agent, v)
-        theirs = kb.successors(agent, v) if side == "left" else ka.successors(agent, u)
-        if not (1 <= len(chosen) <= cap) or any(x not in mine for x in chosen):
-            memo[key] = False
+        _, mine, theirs = _challenges(ka, kb, agent, u, v)[0 if side == "left" else 1]
+        distinct = set(chosen)
+        if not (1 <= len(distinct) == len(chosen) <= cap and distinct.issubset(mine)):
             return False
-        legal_responses = list(combinations(theirs, len(chosen)))
-        if not legal_responses:
-            return True  # duplicator is stuck
-        for response in legal_responses:
-            pick = picks.get(response)
+        # With no legal response the duplicator is stuck and the loop is empty.
+        for response in combinations(theirs, len(chosen)):
+            pick = entry.picks.get(response)
             if pick is None or pick not in response:
-                memo[key] = False
                 return False
             for reply in chosen:
-                nxt = (reply, pick) if side == "left" else (pick, reply)
-                if not check_spoiler(nxt[0], nxt[1], m - 1):
-                    memo[key] = False
+                if not holds(*_oriented(side, reply, pick), m - 1):
                     return False
         return True
 
-    if result.winner == DUPLICATOR:
-        return check_duplicator(a.point, b.point, rounds)
-    return check_spoiler(a.point, b.point, rounds)
+    # Whether the claimed winner wins from (u, v) with m rounds left.
+    # Positions lose a round per move, so none recurs below itself.
+    memo: dict[tuple[int, int, int], bool] = {}
+    spoiler_claims = result.winner != DUPLICATOR
+    check = spoiler_wins if spoiler_claims else duplicator_holds
+
+    def holds(u, v, m) -> bool:
+        key = (u, v, m)
+        if key not in memo:
+            if not atom_equal(u, v):
+                memo[key] = spoiler_claims
+            elif m == 0:
+                memo[key] = not spoiler_claims
+            else:
+                memo[key] = check(u, v, m)
+        return memo[key]
+
+    return holds(a.point, b.point, rounds)

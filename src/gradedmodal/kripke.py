@@ -168,11 +168,8 @@ def disjoint_union(
     if not parts:
         raise ValueError("disjoint_union needs at least one part")
     sig = _require_same_signature(parts)
-    offsets = []
-    total = 0
-    for m in parts:
-        offsets.append(total)
-        total += m.world_count
+    offsets = part_offsets(parts)
+    total = offsets[-1] + parts[-1].world_count
     if total == 0:
         raise ValueError("disjoint union of empty aggregates is empty")
     edges: dict[str, set[tuple[int, int]]] = {a: set() for a in sig.agents}

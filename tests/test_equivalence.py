@@ -11,8 +11,8 @@ from gradedmodal import (
     atomic_history,
     bounded_equivalence,
     full_graded_bisimilarity,
-    graded_equivalence,
     refine,
+    refine_to,
     relation_is_graded_bisimulation,
     solve_game,
     type_descriptor,
@@ -54,6 +54,24 @@ def test_refine_preserves_atomic_split():
 def test_refine_requires_level():
     with pytest.raises(ValueError):
         atomic_history(fan(1).structure, -1)
+
+
+def test_refine_to_matches_hand_loop():
+    rng = random.Random(109)
+    for _ in range(20):
+        a, b = random_pair(rng)
+        parts = [a.structure, b.structure]
+        arena = disjoint_union(parts)
+        offsets = part_offsets(parts)
+        for cap in (None, 0, 1, 2, 3):
+            history = atomic_history(arena, cap, offsets)
+            for depth in range(arena.world_count + 1):
+                assert refine_to(arena, cap, offsets, depth) == history
+                history = refine(history)
+            fixpoint = atomic_history(arena, cap, offsets)
+            while not fixpoint.is_stable():
+                fixpoint = refine(fixpoint)
+            assert refine_to(arena, cap, offsets) == fixpoint
 
 
 def test_levels_refine_and_stabilize():
@@ -112,9 +130,9 @@ def test_bounded_equivalence_rejects_mismatch():
 
 
 def test_graded_equivalence_fixtures():
-    assert not graded_equivalence(fan(2), fan(3), 1)
-    assert graded_equivalence(fan(2), fan(3), 0)
-    assert graded_equivalence(loop1(), chain(5), 1)
+    assert not bounded_equivalence(fan(2), fan(3), None, 1)
+    assert bounded_equivalence(fan(2), fan(3), None, 0)
+    assert bounded_equivalence(loop1(), chain(5), None, 1)
     assert not full_graded_bisimilarity(loop1(), chain(5))
 
 
@@ -132,7 +150,7 @@ def test_graded_equivalence_equals_bounded_at_max_outdegree():
             default=0,
         )
         for depth in range(3):
-            assert graded_equivalence(a, b, depth) == bool(
+            assert bool(bounded_equivalence(a, b, None, depth)) == bool(
                 bounded_equivalence(a, b, max_deg, depth)
             )
 
@@ -224,7 +242,7 @@ def test_type_descriptor_matches_refinement():
     rng = random.Random(103)
     for _ in range(40):
         a, b = random_pair(rng)
-        for cap in range(3):
+        for cap in (None, 0, 1, 2, 3):
             for depth in range(3):
                 same_desc = type_descriptor(
                     a.structure, a.point, cap, depth
