@@ -35,8 +35,8 @@ from .syntax import (
     Formula,
     FragmentBound,
     Not,
-    Or,
     Prop,
+    _require_formula,
     and_all,
     format_formula,
     in_fragment,
@@ -371,29 +371,22 @@ def normal_form(
 
 def inferred_signature(formula: Formula) -> Signature:
     """The minimal signature carrying the formula's agents and propositions."""
-    agents: set[str] = set()
-    props: set[str] = set()
-
-    def walk(f: Formula):
-        if isinstance(f, Prop):
-            props.add(f.name)
-        elif isinstance(f, Not):
-            walk(f.child)
-        elif isinstance(f, (And, Or)):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, Diamond):
-            agents.add(f.agent)
-            walk(f.child)
-
-    walk(formula)
-    return Signature(tuple(sorted(agents)), tuple(sorted(props)))
+    _require_formula(formula)
+    return Signature(tuple(sorted(formula.agents)), tuple(sorted(formula.props)))
 
 
 def _conjuncts(formula: Formula) -> list[Formula]:
-    if isinstance(formula, And):
-        return _conjuncts(formula.left) + _conjuncts(formula.right)
-    return [formula]
+    """The maximal non-conjunction subformulas under the top ``And``s, left to right."""
+    conjuncts = []
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, And):
+            stack.append(f.right)
+            stack.append(f.left)
+        else:
+            conjuncts.append(f)
+    return conjuncts
 
 
 def distinguishing_formula(

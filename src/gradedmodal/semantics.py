@@ -1,66 +1,69 @@
-"""Model checking graded modal logic over finite Kripke structures."""
+"""Model checking graded modal logic over finite Kripke structures.
+
+Both checkers walk the formula with an explicit stack and evaluate every
+shared subformula once (per world, for ``satisfies``), so neither the nesting
+depth nor the printed size of a formula bounds what they can check.
+"""
 
 from __future__ import annotations
 
 from .errors import SignatureError
 from .kripke import KripkeStructure, PointedStructure
-from .syntax import And, Bot, Diamond, Formula, Not, Or, Prop, Top
+from .syntax import And, Bot, Diamond, Formula, Not, Or, Prop, Top, _children, _require_formula
 
 
 def _check_symbols(m: KripkeStructure, formula: Formula):
-    if isinstance(formula, Prop):
-        if formula.name not in m.signature.props:
-            raise SignatureError(f"unknown proposition {formula.name!r}")
-    elif isinstance(formula, Not):
-        _check_symbols(m, formula.child)
-    elif isinstance(formula, (And, Or)):
-        _check_symbols(m, formula.left)
-        _check_symbols(m, formula.right)
-    elif isinstance(formula, Diamond):
-        if formula.agent not in m.signature.agents:
-            raise SignatureError(f"unknown agent {formula.agent!r}")
-        _check_symbols(m, formula.child)
+    """Reject symbols outside the structure's signature, propositions first."""
+    _require_formula(formula)
+    for label, used, known in (
+        ("unknown proposition", formula.props, m.signature.props),
+        ("unknown agent", formula.agents, m.signature.agents),
+    ):
+        unknown = used.difference(known)
+        if unknown:
+            raise SignatureError(f"{label} {', '.join(repr(s) for s in sorted(unknown))}")
 
 
 def extension(m: KripkeStructure, formula: Formula) -> frozenset[int]:
     """The set of worlds satisfying the formula, computed bottom-up.
 
-    One extension is memoized per distinct subformula, so shared subterms
-    (common in generated characteristic formulas) are evaluated once.
+    Each distinct subformula is evaluated once.
     """
     _check_symbols(m, formula)
-    memo: dict[int, frozenset[int]] = {}
     universe = frozenset(m.worlds())
-
-    def ext(f: Formula) -> frozenset[int]:
-        key = id(f)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(f, Top):
+    memo: dict[Formula, frozenset[int]] = {}
+    stack = [formula]
+    while stack:
+        f = stack[-1]
+        if f in memo:
+            stack.pop()
+            continue
+        pending = [c for c in _children(f) if c not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        kind = type(f)
+        if kind is Top:
             result = universe
-        elif isinstance(f, Bot):
+        elif kind is Bot:
             result = frozenset()
-        elif isinstance(f, Prop):
+        elif kind is Prop:
             result = m.valuation[f.name]
-        elif isinstance(f, Not):
-            result = universe - ext(f.child)
-        elif isinstance(f, And):
-            result = ext(f.left) & ext(f.right)
-        elif isinstance(f, Or):
-            result = ext(f.left) | ext(f.right)
-        elif isinstance(f, Diamond):
-            child = ext(f.child)
+        elif kind is Not:
+            result = universe - memo[f.child]
+        elif kind is And:
+            result = memo[f.left] & memo[f.right]
+        elif kind is Or:
+            result = memo[f.left] | memo[f.right]
+        else:
+            child = memo[f.child]
             result = frozenset(
                 u for u in m.worlds()
                 if _count_in(m.successors(f.agent, u), child) >= f.grade
             )
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        memo[key] = result
-        return result
-
-    return ext(formula)
+        memo[f] = result
+    return memo[formula]
 
 
 def _count_in(successors: tuple[int, ...], target: frozenset[int]) -> int:
@@ -75,37 +78,61 @@ def satisfies(pointed: PointedStructure, formula: Formula) -> bool:
     """
     m = pointed.structure
     _check_symbols(m, formula)
-    memo: dict[tuple[int, int], bool] = {}
+    valuation = m.valuation
+    memo: dict[tuple[int, Formula], bool] = {}
 
-    def sat(world: int, f: Formula) -> bool:
-        if isinstance(f, Top):
+    def known(world: int, f: Formula):
+        """The truth of ``f`` at ``world`` if it is an atom or done, else None."""
+        kind = type(f)
+        if kind is Prop:
+            return world in valuation[f.name]
+        if kind is Top:
             return True
-        if isinstance(f, Bot):
+        if kind is Bot:
             return False
-        if isinstance(f, Prop):
-            return world in m.valuation[f.name]
-        key = (world, id(f))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(f, Not):
-            result = not sat(world, f.child)
-        elif isinstance(f, And):
-            result = sat(world, f.left) and sat(world, f.right)
-        elif isinstance(f, Or):
-            result = sat(world, f.left) or sat(world, f.right)
-        elif isinstance(f, Diamond):
-            hits = 0
-            result = False
-            for v in m.successors(f.agent, world):
-                if sat(v, f.child):
-                    hits += 1
-                    if hits >= f.grade:
-                        result = True
-                        break
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        memo[key] = result
-        return result
+        return memo.get((world, f))
 
-    return sat(pointed.point, formula)
+    root = known(pointed.point, formula)
+    if root is not None:
+        return root
+    # Frames are [world, node, next successor, hits so far]; the last two
+    # are used by diamonds only.  A frame that needs an unknown child pushes
+    # it and is resumed once the child is in the memo.
+    stack = [[pointed.point, formula, 0, 0]]
+    while stack:
+        frame = stack[-1]
+        world, f = frame[0], frame[1]
+        kind = type(f)
+        if kind is Diamond:
+            successors, child, grade = m.successors(f.agent, world), f.child, f.grade
+            index, hits = frame[2], frame[3]
+            while index < len(successors) and hits < grade:
+                value = known(successors[index], child)
+                if value is None:
+                    break
+                hits += value
+                index += 1
+            if index < len(successors) and hits < grade:
+                frame[2], frame[3] = index, hits
+                stack.append([successors[index], child, 0, 0])
+                continue
+            result = hits >= grade
+        elif kind is Not:
+            value = known(world, f.child)
+            if value is None:
+                stack.append([world, f.child, 0, 0])
+                continue
+            result = not value
+        else:
+            result = known(world, f.left)
+            if result is None:
+                stack.append([world, f.left, 0, 0])
+                continue
+            if result is (kind is And):
+                result = known(world, f.right)
+                if result is None:
+                    stack.append([world, f.right, 0, 0])
+                    continue
+        memo[(world, f)] = result
+        stack.pop()
+    return memo[(pointed.point, formula)]

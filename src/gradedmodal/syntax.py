@@ -19,64 +19,168 @@ single-sourced.  Grades start at 1.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 
 from .errors import ParseError
 
+# Every live formula node, keyed by its class and its fields.  Children in a
+# key compare by identity, which is structural equality because they are
+# interned too.  The values are weak: a node leaves the table once nothing
+# else holds it.
+_TABLE: "weakref.WeakValueDictionary[tuple, Formula]" = weakref.WeakValueDictionary()
+_NO_NAMES: frozenset[str] = frozenset()
+_set = object.__setattr__
+
 
 class Formula:
-    """Base class for graded modal formulas."""
+    """Base class for graded modal formulas.
 
+    Nodes are hash-consed: constructing a formula equal to a live one returns
+    that same object, so ``==`` is identity and shared subformulas are shared
+    objects.  Every node caches its modal ``depth``, its counting ``rank``
+    and the ``props`` and ``agents`` occurring in it.  The intern table takes
+    no lock, so formulas are built from one thread at a time.
+    """
+
+    __slots__ = ("depth", "rank", "props", "agents", "__weakref__")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
+
+def _new(cls, key: tuple, values: tuple, depth: int, rank: int, props, agents) -> Formula:
+    node = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        _set(node, name, value)
+    _set(node, "depth", depth)
+    _set(node, "rank", rank)
+    _set(node, "props", props)
+    _set(node, "agents", agents)
+    _TABLE[key] = node
+    return node
+
+
+def _require_formula(value) -> None:
+    if not isinstance(value, Formula):
+        raise TypeError(f"not a formula: {value!r}")
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    return a if b <= a else b if a <= b else a | b
+
+
+def _leaf(cls) -> Formula:
+    key = (cls,)
+    node = _TABLE.get(key)
+    return node if node is not None else _new(cls, key, (), 0, 0, _NO_NAMES, _NO_NAMES)
+
+
+def _binary(cls, left: Formula, right: Formula) -> Formula:
+    key = (cls, left, right)
+    node = _TABLE.get(key)
+    if node is None:
+        _require_formula(left)
+        _require_formula(right)
+        node = _new(cls, key, (left, right), max(left.depth, right.depth), max(left.rank, right.rank),
+                    _union(left.props, right.props), _union(left.agents, right.agents))
+    return node
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Top(Formula):
     __slots__ = ()
 
-
-@dataclass(frozen=True)
-class Top(Formula):
-    pass
+    def __new__(cls):
+        return _leaf(cls)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Bot(Formula):
-    pass
+    __slots__ = ()
+
+    def __new__(cls):
+        return _leaf(cls)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Prop(Formula):
+    __slots__ = ("name",)
     name: str
 
+    def __new__(cls, name: str):
+        key = (cls, name)
+        node = _TABLE.get(key)
+        return node if node is not None else _new(cls, key, (name,), 0, 0, frozenset((name,)), _NO_NAMES)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Not(Formula):
+    __slots__ = ("child",)
     child: Formula
 
+    def __new__(cls, child: Formula):
+        key = (cls, child)
+        node = _TABLE.get(key)
+        if node is None:
+            _require_formula(child)
+            node = _new(cls, key, (child,), child.depth, child.rank, child.props, child.agents)
+        return node
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class And(Formula):
+    __slots__ = ("left", "right")
     left: Formula
     right: Formula
 
+    def __new__(cls, left: Formula, right: Formula):
+        return _binary(cls, left, right)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Or(Formula):
+    __slots__ = ("left", "right")
     left: Formula
     right: Formula
 
+    def __new__(cls, left: Formula, right: Formula):
+        return _binary(cls, left, right)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Diamond(Formula):
     """At least ``grade`` distinct ``agent``-successors satisfy ``child``."""
 
+    __slots__ = ("agent", "grade", "child")
     agent: str
     grade: int
     child: Formula
 
-    def __post_init__(self):
-        if self.grade < 1:
-            raise ValueError(f"grade must be at least 1, got {self.grade}")
+    def __new__(cls, agent: str, grade: int, child: Formula):
+        key = (cls, agent, grade, child)
+        node = _TABLE.get(key)
+        if node is None:
+            if grade < 1:
+                raise ValueError(f"grade must be at least 1, got {grade}")
+            _require_formula(child)
+            agents = child.agents if agent in child.agents else child.agents | {agent}
+            node = _new(cls, key, (agent, grade, child), child.depth + 1, max(grade, child.rank),
+                        child.props, agents)
+        return node
 
 
 TOP = Top()
 BOT = Bot()
+
+
+def _children(formula: Formula) -> tuple[Formula, ...]:
+    kind = type(formula)
+    if kind is And or kind is Or:
+        return formula.left, formula.right
+    if kind is Not or kind is Diamond:
+        return (formula.child,)
+    return ()
 
 
 def box(agent: str, grade: int, child: Formula) -> Formula:
@@ -104,157 +208,141 @@ def or_all(formulas: list[Formula]) -> Formula:
     return acc
 
 
-_TOKEN = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*)|(\d+)|([()&|!<>:\[\]]))")
+# The last group catches any other character, so one scan finds every token
+# and the first bad character.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<punct>[()&|!<>:\[\]])|(?P<bad>\S))"
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Tokens as (kind, value, start); a punctuation token's kind is itself."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r}", column=pos + 1)
-        if match.group(1):
-            tokens.append(("ident", match.group(1), match.start(1)))
-        elif match.group(2):
-            tokens.append(("int", match.group(2), match.start(2)))
-        else:
-            tokens.append(("punct", match.group(3), match.start(3)))
-        pos = match.end()
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        value = match[kind]
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", column=match.start() + 1)
+        tokens.append((value if kind == "punct" else kind, value, match.start(kind)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def parse_formula(text: str) -> Formula:
+    tokens = _tokenize(text)
+    end = len(tokens)
+    pos = 0
 
-    def error(self, message: str):
-        column = self.tokens[self.pos][2] + 1 if self.pos < len(self.tokens) else len(self.text) + 1
+    def fail(message: str, index: int):
+        column = tokens[index][2] + 1 if index < end else len(text) + 1
         raise ParseError(message, column=column)
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def take(kind: str, what: str = "") -> str:
+        """The next token's value; it must be of ``kind``."""
+        nonlocal pos
+        if pos == end:
+            fail("unexpected end of input", pos)
+        token = tokens[pos]
+        pos += 1
+        if token[0] != kind:
+            fail(f"expected {what or repr(kind)}, got {token[1]!r}", pos)
+        return token[1]
 
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            self.error("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def expect_punct(self, value: str):
-        tok = self.take()
-        if tok[0] != "punct" or tok[1] != value:
-            self.error(f"expected {value!r}, got {tok[1]!r}")
-        return tok
-
-    def expect_ident(self) -> str:
-        tok = self.take()
-        if tok[0] != "ident":
-            self.error(f"expected a name, got {tok[1]!r}")
-        return tok[1]
-
-    def expect_grade(self) -> int:
-        tok = self.take()
-        if tok[0] != "int":
-            self.error(f"expected a grade, got {tok[1]!r}")
-        grade = int(tok[1])
-        if grade < 1:
-            self.error("grades start at 1")
-        return grade
-
-    def formula(self) -> Formula:
-        tok = self.take()
-        kind, value, _ = tok
+    def formula() -> Formula:
+        nonlocal pos
+        if pos == end:
+            fail("unexpected end of input", pos)
+        kind, value, _ = tokens[pos]
+        pos += 1
         if kind == "ident":
-            if value == "true":
-                return TOP
-            if value == "false":
-                return BOT
-            return Prop(value)
-        if kind == "punct" and value == "!":
-            return Not(self.formula())
-        if kind == "punct" and value == "(":
-            left = self.formula()
-            op = self.take()
-            if op[0] != "punct" or op[1] not in "&|":
-                self.error(f"expected '&' or '|', got {op[1]!r}")
-            right = self.formula()
-            self.expect_punct(")")
-            return And(left, right) if op[1] == "&" else Or(left, right)
-        if kind == "punct" and value == "<":
-            agent = self.expect_ident()
-            self.expect_punct(":")
-            grade = self.expect_grade()
-            self.expect_punct(">")
-            return Diamond(agent, grade, self.formula())
-        if kind == "punct" and value == "[":
-            agent = self.expect_ident()
-            self.expect_punct(":")
-            grade = self.expect_grade()
-            self.expect_punct("]")
-            return box(agent, grade, self.formula())
-        self.pos -= 1
-        self.error(f"unexpected token {value!r}")
-        raise AssertionError  # unreachable
+            return TOP if value == "true" else BOT if value == "false" else Prop(value)
+        if kind == "!":
+            return Not(formula())
+        if kind == "(":
+            left = formula()
+            if pos == end:
+                fail("unexpected end of input", pos)
+            op, op_value, _ = tokens[pos]
+            pos += 1
+            if op != "&" and op != "|":
+                fail(f"expected '&' or '|', got {op_value!r}", pos)
+            right = formula()
+            take(")")
+            return And(left, right) if op == "&" else Or(left, right)
+        if kind == "<" or kind == "[":
+            agent = take("ident", "a name")
+            take(":")
+            grade = int(take("int", "a grade"))
+            if grade < 1:
+                fail("grades start at 1", pos)
+            take(">" if kind == "<" else "]")
+            child = formula()
+            return Diamond(agent, grade, child) if kind == "<" else box(agent, grade, child)
+        fail(f"unexpected token {value!r}", pos - 1)
 
-
-def parse_formula(text: str) -> Formula:
-    parser = _Parser(text)
-    result = parser.formula()
-    if parser.peek() is not None:
-        parser.error("trailing input after formula")
+    result = formula()
+    if pos < end:
+        fail("trailing input after formula", pos)
     return result
 
 
+def _shared_nodes(formula: Formula) -> set[Formula]:
+    """Nodes that occur as a child more than once in the formula's DAG."""
+    seen = {formula}
+    shared = set()
+    stack = [formula]
+    while stack:
+        for child in _children(stack.pop()):
+            if child in seen:
+                shared.add(child)
+            else:
+                seen.add(child)
+                stack.append(child)
+    return shared
+
+
 def format_formula(formula: Formula) -> str:
-    """Concrete syntax in core form; ``parse_formula`` inverts it."""
-    if isinstance(formula, Top):
-        return "true"
-    if isinstance(formula, Bot):
-        return "false"
-    if isinstance(formula, Prop):
-        return formula.name
-    if isinstance(formula, Not):
-        return "!" + format_formula(formula.child)
-    if isinstance(formula, And):
-        return f"({format_formula(formula.left)} & {format_formula(formula.right)})"
-    if isinstance(formula, Or):
-        return f"({format_formula(formula.left)} | {format_formula(formula.right)})"
-    if isinstance(formula, Diamond):
-        return f"<{formula.agent}:{formula.grade}> {format_formula(formula.child)}"
-    raise TypeError(f"not a formula: {formula!r}")
+    """Concrete syntax in core form; ``parse_formula`` inverts it.
+
+    The text of a node that occurs more than once is built once.
+    """
+    _require_formula(formula)
+    shared = _shared_nodes(formula)
+    memo: dict[Formula, str] = {}
+
+    def text(f: Formula) -> str:
+        out = memo.get(f)
+        if out is not None:
+            return out
+        kind = type(f)
+        if kind is And:
+            out = f"({text(f.left)} & {text(f.right)})"
+        elif kind is Or:
+            out = f"({text(f.left)} | {text(f.right)})"
+        elif kind is Not:
+            out = "!" + text(f.child)
+        elif kind is Diamond:
+            out = f"<{f.agent}:{f.grade}> {text(f.child)}"
+        elif kind is Prop:
+            out = f.name
+        else:
+            out = "true" if kind is Top else "false"
+        if f in shared:
+            memo[f] = out
+        return out
+
+    return text(formula)
 
 
 def nesting_depth(formula: Formula) -> int:
     """Maximal nesting of modal operators; atoms have depth 0."""
-    if isinstance(formula, (Top, Bot, Prop)):
-        return 0
-    if isinstance(formula, Not):
-        return nesting_depth(formula.child)
-    if isinstance(formula, (And, Or)):
-        return max(nesting_depth(formula.left), nesting_depth(formula.right))
-    if isinstance(formula, Diamond):
-        return nesting_depth(formula.child) + 1
-    raise TypeError(f"not a formula: {formula!r}")
+    _require_formula(formula)
+    return formula.depth
 
 
 def counting_rank(formula: Formula) -> int:
     """Maximal grade occurring in the formula; propositional formulas rank 0."""
-    if isinstance(formula, (Top, Bot, Prop)):
-        return 0
-    if isinstance(formula, Not):
-        return counting_rank(formula.child)
-    if isinstance(formula, (And, Or)):
-        return max(counting_rank(formula.left), counting_rank(formula.right))
-    if isinstance(formula, Diamond):
-        return max(formula.grade, counting_rank(formula.child))
-    raise TypeError(f"not a formula: {formula!r}")
+    _require_formula(formula)
+    return formula.rank
 
 
 @dataclass(frozen=True)
@@ -270,4 +358,5 @@ class FragmentBound:
 
 
 def in_fragment(formula: Formula, bound: FragmentBound) -> bool:
-    return counting_rank(formula) <= bound.cap and nesting_depth(formula) <= bound.depth
+    _require_formula(formula)
+    return formula.rank <= bound.cap and formula.depth <= bound.depth

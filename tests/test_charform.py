@@ -3,12 +3,14 @@ import random
 import pytest
 
 from gradedmodal import (
+    And,
     Bot,
     Diamond,
     FragmentBound,
     KripkeStructure,
     Not,
     PointedStructure,
+    Prop,
     ResourceLimitError,
     Signature,
     Top,
@@ -27,7 +29,8 @@ from gradedmodal import (
     satisfies,
     type_descriptor,
 )
-from gradedmodal.charform import inferred_signature
+from gradedmodal.charform import _conjuncts, inferred_signature
+from gradedmodal.syntax import and_all
 
 from helpers import (
     SIG_A,
@@ -230,3 +233,11 @@ def test_distinguishing_formula_random():
         assert in_fragment(separator, FragmentBound(cap, depth))
         assert satisfies(a, separator) and not satisfies(b, separator)
         found += 1
+
+
+def test_conjuncts_flatten_left_to_right():
+    p, q, r, s = (Prop(name) for name in "pqrs")
+    assert _conjuncts(And(And(p, Not(q)), And(r, s))) == [p, Not(q), r, s]
+    assert _conjuncts(p) == [p]
+    atoms = [Diamond("a", k, p) for k in range(1, 3001)]
+    assert _conjuncts(and_all(atoms)) == atoms

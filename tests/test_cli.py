@@ -203,7 +203,8 @@ def test_golden_json(name, capsys):
 
 
 def test_mc_on_p_free_formula_vs_structure_mismatch(capsys):
-    # unknown proposition is a usage error, not a verdict
-    assert run(["mc", _path("fan3.kr"), "p"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown proposition" in err
+    # an unknown proposition or agent is a usage error, not a verdict
+    for formula, message in (("p", "unknown proposition"), ("<b:1> true", "unknown agent")):
+        assert run(["mc", _path("fan3.kr"), formula]) == 2
+        err = capsys.readouterr().err
+        assert message in err

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -62,7 +65,7 @@ def test_round_trip_random():
     for _ in range(1000):
         sig = random_signature(rng)
         f = random_formula(rng, sig, depth=4, max_grade=3)
-        assert parse_formula(format_formula(f)) == f
+        assert parse_formula(format_formula(f)) is f
 
 
 @st.composite
@@ -88,7 +91,7 @@ def formulas(draw, depth=3):
 @given(formulas())
 @settings(max_examples=200, deadline=None)
 def test_round_trip_hypothesis(f):
-    assert parse_formula(format_formula(f)) == f
+    assert parse_formula(format_formula(f)) is f
 
 
 def test_depth_and_rank_fixtures():
@@ -141,3 +144,88 @@ def test_connective_folds():
     assert or_all([]) == Bot()
     assert and_all([Prop("p")]) == Prop("p")
     assert format_formula(and_all([Prop("p"), Not(Prop("q"))])) == "(p & !q)"
+
+
+def test_equal_constructions_are_identical():
+    def build():
+        return Diamond("a", 2, And(Prop("p"), Not(Or(Prop("q"), Top()))))
+
+    assert build() is build()
+    assert Top() is Top() and Bot() is Bot()
+    assert Prop("p") is not Prop("q")
+    assert Diamond("a", 2, Top()) is not Diamond("a", 3, Top())
+    assert Diamond("a", 2, Top()) is not Diamond("b", 2, Top())
+    assert And(Prop("p"), Prop("q")) is not Or(Prop("p"), Prop("q"))
+    assert And(Prop("p"), Prop("q")) is not And(Prop("q"), Prop("p"))
+    assert parse_formula("[a:2] p") is box("a", 2, Prop("p"))
+
+
+def test_copies_and_pickles_return_the_interned_node():
+    f = parse_formula("(<a:2> (p & !q) | [b:1] <a:1> true)")
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    assert copy.deepcopy([f, f.left]) == [f, f.left]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(f, protocol)) is f
+
+
+def test_nodes_are_frozen():
+    f = And(Prop("p"), Diamond("a", 1, Top()))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.left = Top()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.right.grade = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.depth = 0
+    assert [field.name for field in dataclasses.fields(Diamond)] == ["agent", "grade", "child"]
+
+
+def test_non_formula_children_rejected():
+    with pytest.raises(TypeError):
+        Not("p")
+    with pytest.raises(TypeError):
+        And(Prop("p"), None)
+    with pytest.raises(TypeError):
+        Or(1, Prop("p"))
+    with pytest.raises(TypeError):
+        Diamond("a", 1, "p")
+    with pytest.raises(TypeError):
+        nesting_depth("p")
+    with pytest.raises(TypeError):
+        format_formula(None)
+
+
+def test_cached_gradations_and_symbols():
+    f = parse_formula("(<a:2> (p & !q) | [b:3] <a:1> r)")
+    assert (f.depth, f.rank) == (nesting_depth(f), counting_rank(f)) == (2, 3)
+    assert f.props == {"p", "q", "r"}
+    assert f.agents == {"a", "b"}
+    assert Top().props == Top().agents == frozenset()
+
+
+def _tree_text(f):
+    """The printer's definition, one tree node at a time."""
+    if isinstance(f, Top):
+        return "true"
+    if isinstance(f, Bot):
+        return "false"
+    if isinstance(f, Prop):
+        return f.name
+    if isinstance(f, Not):
+        return "!" + _tree_text(f.child)
+    if isinstance(f, And):
+        return f"({_tree_text(f.left)} & {_tree_text(f.right)})"
+    if isinstance(f, Or):
+        return f"({_tree_text(f.left)} | {_tree_text(f.right)})"
+    return f"<{f.agent}:{f.grade}> {_tree_text(f.child)}"
+
+
+def test_format_matches_tree_printer_on_shared_formulas():
+    rng = random.Random(19)
+    for _ in range(300):
+        parts = [random_formula(rng, SIG_AP, depth=3, max_grade=2) for _ in range(3)]
+        for _ in range(4):
+            x, y = rng.choice(parts), rng.choice(parts)
+            parts.append(rng.choice([And(x, y), Or(y, x), Diamond("a", 2, x), Not(x)]))
+        f = and_all(parts)
+        assert format_formula(f) == _tree_text(f)
