@@ -13,8 +13,9 @@ are exposed:
 * default: one conjunct per agent asserting that every successor falls into
   one of the realized classes (a negated grade-1 modality over the negated
   disjunction of class formulas); sound and complete with no catalog;
-* catalog mode: an explicit negated grade-1 conjunct for every catalog type
-  with zero successor count, as a completion relative to a full catalog;
+* catalog mode: the catalog's formula for the target's type at the depth,
+  which has an explicit negated grade-1 conjunct for every catalog type
+  with zero successor count, a completion relative to the full catalog;
 * bare mode (``exclude_unrealized=False``): successor classes only.  This
   variant does not define the class and is exposed for comparison.
 """
@@ -25,9 +26,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .equivalence import _descriptor_levels, bounded_equivalence, refine_to
+from .equivalence import bounded_equivalence, refine_to, type_descriptor
 from .errors import GradedModalError, ResourceLimitError, SignatureError
-from .kripke import KripkeStructure, PointedStructure, Signature, disjoint_union, part_offsets
+from .kripke import PointedStructure, Signature, _realize, disjoint_union, part_offsets
 from .semantics import satisfies
 from .syntax import (
     And,
@@ -87,7 +88,7 @@ def characteristic_formula(
             raise SignatureError("catalog signature differs from the structure's")
         if catalog.cap != cap or catalog.depth < depth:
             raise ValueError("catalog bounds do not cover the requested bounds")
-        return _characteristic_via_catalog(target, cap, depth, catalog)
+        return catalog.formula_for(depth, type_descriptor(m, target.point, cap, depth))
 
     history = refine_to(m, cap, depth=depth)
 
@@ -121,31 +122,6 @@ def characteristic_formula(
     return class_formula(depth, history.levels[depth][target.point])
 
 
-def _characteristic_via_catalog(
-    target: PointedStructure, cap: int, depth: int, catalog: "TypeCatalog"
-) -> Formula:
-    m = target.structure
-    sig = m.signature
-    level_descs = _descriptor_levels(m, cap, depth)
-
-    def world_formula(level: int, world: int) -> Formula:
-        if level == 0:
-            return catalog.formula_for(0, level_descs[0][world])
-        conjuncts = [world_formula(level - 1, world)]
-        for agent in sig.agents:
-            counts: dict = {}
-            for v in m.successors(agent, world):
-                d = level_descs[level - 1][v]
-                counts[d] = counts.get(d, 0) + 1
-            for d in catalog.descriptors(level - 1):
-                child = catalog.formula_for(level - 1, d)
-                capped = min(counts.get(d, 0), cap)
-                conjuncts.extend(_grade_conjuncts(agent, capped, cap, child))
-        return and_all(conjuncts)
-
-    return world_formula(depth, target.point)
-
-
 @dataclass(frozen=True)
 class TypeEntry:
     type_id: int
@@ -172,9 +148,6 @@ class TypeCatalog:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def descriptors(self, level: int):
-        return self.level_descriptors[level]
 
     def formula_for(self, level: int, descriptor) -> Formula:
         idx = self.level_descriptors[level].index(descriptor)
@@ -228,26 +201,6 @@ def _lift_descriptor(atoms: tuple, count_maps: list[dict], level: int, cap: int)
             t[td] = min(cap, t.get(td, 0) + n)
         truncated.append({d: n for d, n in t.items() if n > 0})
     return (_lift_descriptor(atoms, truncated, level - 1, cap), body)
-
-
-def _realize(sig: Signature, atoms: tuple, children: list[tuple[str, PointedStructure]]) -> PointedStructure:
-    """A tree with the given root label and child subtrees."""
-    world_count = 1 + sum(c.structure.world_count for _, c in children)
-    edges: dict[str, set] = {a: set() for a in sig.agents}
-    valuation: dict[str, set] = {p: set() for p in sig.props}
-    for prop, holds in zip(sig.props, atoms):
-        if holds:
-            valuation[prop].add(0)
-    offset = 1
-    for agent, child in children:
-        sub = child.structure
-        edges[agent].add((0, offset + child.point))
-        for ag in sig.agents:
-            edges[ag].update((offset + u, offset + v) for u, v in sub.edges[ag])
-        for p in sig.props:
-            valuation[p].update(offset + w for w in sub.valuation[p])
-        offset += sub.world_count
-    return PointedStructure(KripkeStructure(sig, world_count, edges, valuation), 0)
 
 
 def enumerate_types(

@@ -39,13 +39,6 @@ def _load_pointed(path: str) -> kripke.PointedStructure:
     return value
 
 
-def _load_plain(path: str) -> kripke.KripkeStructure:
-    value = _load(path)
-    if isinstance(value, kripke.PointedStructure):
-        return value.structure
-    return value
-
-
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -207,14 +200,11 @@ def _cmd_restrict(args) -> int:
     value = _load(args.structure)
     m = value.structure if isinstance(value, kripke.PointedStructure) else value
     if args.worlds:
-        keep = [int(w) for w in args.worlds.split(",")]
-        point = args.around
+        result = kripke.restrict(m, [int(w) for w in args.worlds.split(",")], point=args.around)
+    elif args.around is None:
+        raise ParseError("restrict needs --worlds or --around/--radius")
     else:
-        if args.around is None:
-            raise ParseError("restrict needs --worlds or --around/--radius")
-        keep = sorted(kripke.neighborhood(m, args.around, args.radius))
-        point = args.around
-    result = kripke.restrict(m, keep, point=point)
+        result = kripke._local_part(m, args.around, args.radius)
     text = kripke.dump_structure(result, name="restricted")
     _emit(args, {"command": "restrict", "structure": text}, text.rstrip("\n"))
     return EXIT_TRUE

@@ -313,14 +313,6 @@ def relation_is_graded_bisimulation(
     return RelationCheck(True)
 
 
-def _descriptor_levels(m: KripkeStructure, cap: Optional[int], depth: int) -> list[list]:
-    """Per level 0..depth, the inductive type descriptor of every world."""
-    levels = [_atom_keys(m)]
-    for _ in range(depth):
-        levels.append(_level_keys(m, levels[-1], cap))
-    return levels
-
-
 def type_descriptor(
     m: KripkeStructure, world: int, cap: Optional[int], depth: int
 ):
@@ -330,4 +322,7 @@ def type_descriptor(
     they are equivalent at that cap and depth; this is the value-level twin
     of the refinement classes and is arena-independent.
     """
-    return _descriptor_levels(m, cap, depth)[depth][world]
+    level = _atom_keys(m)
+    for _ in range(depth):
+        level = _level_keys(m, level, cap)
+    return level[world]

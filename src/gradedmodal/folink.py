@@ -35,12 +35,12 @@ from .kripke import (
     KripkeStructure,
     PointedStructure,
     Signature,
+    _local_part,
+    _realize,
     disjoint_union,
     copies,
     dump_structure,
     is_rooted_treelike,
-    neighborhood,
-    restrict,
     unravel,
 )
 from .syntax import (
@@ -52,6 +52,7 @@ from .syntax import (
     Or,
     Prop,
     Top,
+    _tokenize,
     format_formula,
 )
 
@@ -152,9 +153,10 @@ def standard_translation(formula: Formula, var: str = "x") -> FOFormula:
 
     A grade-k modality becomes k nested existentials asserting pairwise
     distinctness, the k edges, and the translated body at each new
-    variable; fresh variables are y1, y2, ... in evaluation order.
+    variable; fresh variables are y1, y2, ... in evaluation order, skipping
+    ``var`` so that the free variable is never captured.
     """
-    counter = itertools.count(1)
+    fresh = (y for y in (f"y{i}" for i in itertools.count(1)) if y != var)
 
     def st(f: Formula, x: str) -> FOFormula:
         if isinstance(f, Top):
@@ -170,7 +172,7 @@ def standard_translation(formula: Formula, var: str = "x") -> FOFormula:
         if isinstance(f, Or):
             return FOOr(st(f.left, x), st(f.right, x))
         if isinstance(f, Diamond):
-            ys = [f"y{next(counter)}" for _ in range(f.grade)]
+            ys = [next(fresh) for _ in range(f.grade)]
             parts: list[FOFormula] = []
             for i in range(len(ys)):
                 for j in range(i + 1, len(ys)):
@@ -317,8 +319,7 @@ def is_l_local(formula: FOFormula, target: PointedStructure, radius: int) -> boo
     m = target.structure
     assignment = {fv[0]: target.point} if fv else {}
     full = fo_eval(m, assignment, formula)
-    sub = restrict(m, neighborhood(m, target.point, radius), point=target.point)
-    assert isinstance(sub, PointedStructure)
+    sub = _local_part(m, target.point, radius)
     local_assignment = {fv[0]: sub.point} if fv else {}
     local = fo_eval(sub.structure, local_assignment, formula)
     return full == local
@@ -335,8 +336,7 @@ def locality_padding(
     if radius < 0 or q < 0:
         raise ValueError("radius and q must be nonnegative")
     m, w = target.structure, target.point
-    local = restrict(m, neighborhood(m, w, radius), point=w)
-    assert isinstance(local, PointedStructure)
+    local = _local_part(m, w, radius)
     spare_full = copies(m, q)
     spare_local = copies(local.structure, q)
     padded_full = disjoint_union([spare_full, m, spare_local], point_from=(1, w))
@@ -426,9 +426,15 @@ def _unravel_size(pointed: PointedStructure, depth: int) -> int:
 
 # Cost guards of the pipeline: the radius at which the restrictions are
 # compared by back-and-forth (and up to which the cap search looks), and the
-# world bound of the cap search.
+# world bound of each unravelling.
 FO_CHECK_RADIUS = 1
+UNRAVEL_WORLD_BOUND = 20_000
+# Cost guards of the cap search: the world bound of its trees, the number of
+# smallest trees it enumerates, and the number of seeded random trees mixed
+# in when the enumeration is cut.
 CAP_SEARCH_SIZE_BOUND = 6
+CAP_SEARCH_BUDGET = 5000
+CAP_SEARCH_SAMPLES = 200
 
 
 def upgrade_pipeline(
@@ -438,8 +444,6 @@ def upgrade_pipeline(
     *,
     cap: Optional[int] = None,
     radius_override: Optional[int] = None,
-    max_worlds: int = 20_000,
-    max_states: int = 2_000_000,
 ) -> UpgradeReport:
     """Check every instance-checkable step of the agreement chain.
 
@@ -452,6 +456,10 @@ def upgrade_pipeline(
     agreement of the restricted tree parts and of the end-to-end truth
     values.  The bounded back-and-forth check between restrictions runs at
     radius ``FO_CHECK_RADIUS`` as a cost guard, which the report documents.
+    Without a cap, ``find_cap`` searches one at radius at most
+    ``FO_CHECK_RADIUS`` over trees of at most ``CAP_SEARCH_SIZE_BOUND``
+    worlds.  Each unravelling is refused above ``UNRAVEL_WORLD_BOUND``
+    worlds, before it is built.
     """
     if a.signature != b.signature:
         raise SignatureError("the two structures carry different signatures")
@@ -480,7 +488,7 @@ def upgrade_pipeline(
     depth = radius + 1
     for side, name in ((a, "left"), (b, "right")):
         size = _unravel_size(side, depth)
-        if size > max_worlds:
+        if size > UNRAVEL_WORLD_BOUND:
             raise ResourceLimitError(
                 f"unravelling the {name} input to depth {depth} needs {size} worlds"
             )
@@ -532,18 +540,9 @@ def upgrade_pipeline(
         )
     )
 
-    def restricted(pointed: PointedStructure, r: int) -> PointedStructure:
-        sub = restrict(
-            pointed.structure,
-            neighborhood(pointed.structure, pointed.point, r),
-            point=pointed.point,
-        )
-        assert isinstance(sub, PointedStructure)
-        return sub
-
     if equivalent:
-        a_res = restricted(a_star, radius)
-        b_res = restricted(b_star, radius)
+        a_res = _local_part(a_star.structure, a_star.point, radius)
+        b_res = _local_part(b_star.structure, b_star.point, radius)
         va = fo_eval(a_res.structure, {var: a_res.point}, fo)
         vb = fo_eval(b_res.structure, {var: b_res.point}, fo)
         record(
@@ -553,10 +552,9 @@ def upgrade_pipeline(
         )
         try:
             fo_eq = fo_q_equivalent(
-                restricted(a_star, FO_CHECK_RADIUS),
-                restricted(b_star, FO_CHECK_RADIUS),
+                _local_part(a_star.structure, a_star.point, FO_CHECK_RADIUS),
+                _local_part(b_star.structure, b_star.point, FO_CHECK_RADIUS),
                 q,
-                max_states=max_states,
             )
             record(
                 f"restrictions to radius {FO_CHECK_RADIUS} agree up to "
@@ -645,17 +643,18 @@ class CapSearchResult:
         }
 
 
-def _tree_terms(sig: Signature, depth: int, size_bound: int, budget: int):
-    """Canonical rooted-tree terms: (atoms, sorted tuple of (agent, term))."""
+def _tree_terms(sig: Signature, depth: int, size_bound: int) -> list:
+    """Canonical rooted-tree terms: (atoms, tuple of (agent index, term)).
+
+    Children are ordered by (agent index, size, term); the result holds
+    every term within the depth and node bounds, sorted by (size, term).
+    """
     atom_options = sorted(
         itertools.product((False, True), repeat=len(sig.props))
     )
 
     terms_by_depth: list[list] = []
     sizes: dict = {}
-
-    def term_size(term) -> int:
-        return sizes[term]
 
     for d in range(depth + 1):
         options = []
@@ -693,12 +692,21 @@ def _tree_terms(sig: Signature, depth: int, size_bound: int, budget: int):
                 unique.append(term)
         terms_by_depth.append(unique)
 
-    final = sorted(terms_by_depth[depth], key=lambda t: (sizes[t], t))
-    exhausted = True
-    if len(final) > budget:
-        final = final[:budget]
-        exhausted = False
-    return final, sizes, exhausted
+    return sorted(terms_by_depth[depth], key=lambda t: (sizes[t], t))
+
+
+def _smallest_tree_terms(sig: Signature, depth: int, size_bound: int, budget: int):
+    """The first ``budget`` terms of ``_tree_terms`` and whether none were cut.
+
+    The node bound grows one at a time and enumeration stops at the first
+    bound with more than ``budget`` terms, so a cut never enumerates the
+    larger trees it drops.
+    """
+    for bound in range(1, size_bound + 1):
+        terms = _tree_terms(sig, depth, bound)
+        if len(terms) > budget:
+            return terms[:budget], False
+    return terms, True
 
 
 def _random_tree_term(rng, sig: Signature, depth: int, size_bound: int):
@@ -707,76 +715,62 @@ def _random_tree_term(rng, sig: Signature, depth: int, size_bound: int):
     budget = [rng.randint(1, size_bound)]
 
     def grow(level: int):
+        """The term of a random subtree and its size."""
         budget[0] -= 1
         atoms = rng.choice(atom_options)
         children = []
         if level > 0:
             while budget[0] > 0 and rng.random() < 0.6:
-                children.append((rng.randrange(len(sig.agents)), grow(level - 1)))
-        return (atoms, tuple(sorted(children)))
+                agent = rng.randrange(len(sig.agents))
+                child, size = grow(level - 1)
+                children.append((agent, size, child))
+        children.sort()
+        term = (atoms, tuple((agent, child) for agent, _, child in children))
+        return term, 1 + sum(size for _, size, _ in children)
 
-    return grow(depth)
-
-
-def _materialize_term(sig: Signature, term) -> PointedStructure:
-    edges: dict[str, set] = {a: set() for a in sig.agents}
-    valuation: dict[str, set] = {p: set() for p in sig.props}
-    counter = [0]
-
-    def build(node) -> int:
-        atoms, children = node
-        me = counter[0]
-        counter[0] += 1
-        for prop, holds in zip(sig.props, atoms):
-            if holds:
-                valuation[prop].add(me)
-        for agent_idx, child in children:
-            child_id = build(child)
-            edges[sig.agents[agent_idx]].add((me, child_id))
-        return me
-
-    build(term)
-    return PointedStructure(
-        KripkeStructure(sig, counter[0], edges, valuation), 0
-    )
+    return grow(depth)[0]
 
 
-def find_cap(
-    q: int,
-    radius: int,
-    sig: Signature,
-    size_bound: int,
-    *,
-    enumeration_budget: int = 5000,
-    sample_count: int = 200,
-    seed: int = 0,
-    max_states: int = 2_000_000,
-) -> CapSearchResult:
+def find_cap(q: int, radius: int, sig: Signature, size_bound: int) -> CapSearchResult:
     """Least cap making bounded equivalence refine rank-q FO equivalence on
     the examined rooted trees of depth <= radius within the size bound.
 
-    Trees are enumerated canonically; past the enumeration budget the
-    smallest structures are kept and ``sample_count`` seeded random trees
-    are mixed in, and the result is flagged non-exhaustive.  This is
-    empirical evidence over the sample only, never a proof: it reports the
-    least cap consistent with the examined structures.
+    Trees are enumerated canonically, smallest first.  Past
+    ``CAP_SEARCH_BUDGET`` trees the enumeration stops, ``CAP_SEARCH_SAMPLES``
+    random trees of a fixed seed are mixed in, and the result is flagged
+    non-exhaustive.  This is empirical evidence over the sample only, never
+    a proof: it reports the least cap consistent with the examined
+    structures.
     """
     if q < 0 or radius < 0 or size_bound < 1:
         raise ValueError("q, radius must be nonnegative and size_bound positive")
-    terms, _sizes, exhausted = _tree_terms(sig, radius, size_bound, enumeration_budget)
-    if not exhausted and sample_count > 0:
-        rng = _random_module.Random(seed)
-        extra = {_random_tree_term(rng, sig, radius, size_bound) for _ in range(sample_count)}
-        known = set(terms)
-        terms = terms + sorted(extra - known)
-    structures = [_materialize_term(sig, t) for t in terms]
+    terms, exhausted = _smallest_tree_terms(sig, radius, size_bound, CAP_SEARCH_BUDGET)
+    if not exhausted:
+        rng = _random_module.Random(0)
+        extra = {
+            _random_tree_term(rng, sig, radius, size_bound)
+            for _ in range(CAP_SEARCH_SAMPLES)
+        }
+        terms = terms + sorted(extra - set(terms))
+
+    trees: dict = {}
+
+    def tree(term) -> PointedStructure:
+        built = trees.get(term)
+        if built is None:
+            atoms, children = term
+            built = _realize(sig, atoms, [(sig.agents[ai], tree(t)) for ai, t in children])
+            trees[term] = built
+        return built
+
+    structures = [tree(t) for t in terms]
 
     # FO classes do not depend on the cap: classify once, by representatives.
     fo_class = [0] * len(structures)
     reps: list[int] = []
     for idx, s in enumerate(structures):
         for cls, r in enumerate(reps):
-            if fo_q_equivalent(s, structures[r], q, max_states=max_states):
+            if fo_q_equivalent(s, structures[r], q):
                 fo_class[idx] = cls
                 break
         else:
@@ -839,104 +833,78 @@ def format_fo_formula(formula: FOFormula) -> str:
     raise TypeError(f"not an FO formula: {formula!r}")
 
 
-_FO_TOKEN = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*)|([()&|!,=]))")
-
-
-class _FOParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            match = _FO_TOKEN.match(text, pos)
-            if match is None:
-                rest = text[pos:].lstrip()
-                if not rest:
-                    break
-                raise ParseError(f"unexpected character {rest[0]!r}", column=pos + 1)
-            if match.group(1):
-                self.tokens.append(("ident", match.group(1), match.start(1)))
-            else:
-                self.tokens.append(("punct", match.group(2), match.start(2)))
-            pos = match.end()
-        self.pos = 0
-
-    def error(self, message: str):
-        column = (
-            self.tokens[self.pos][2] + 1
-            if self.pos < len(self.tokens)
-            else len(self.text) + 1
-        )
-        raise ParseError(message, column=column)
-
-    def peek(self, offset: int = 0):
-        idx = self.pos + offset
-        return self.tokens[idx] if idx < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            self.error("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def expect(self, value: str):
-        tok = self.take()
-        if tok[1] != value:
-            self.error(f"expected {value!r}, got {tok[1]!r}")
-
-    def formula(self) -> FOFormula:
-        tok = self.take()
-        kind, value, _ = tok
-        if kind == "punct" and value == "!":
-            return FONot(self.formula())
-        if kind == "punct" and value == "(":
-            left = self.formula()
-            op = self.take()
-            if op[1] == ")":
-                return left
-            if op[1] not in "&|":
-                self.error(f"expected '&', '|' or ')', got {op[1]!r}")
-            right = self.formula()
-            self.expect(")")
-            return FOAnd(left, right) if op[1] == "&" else FOOr(left, right)
-        if kind == "ident":
-            nxt = self.peek()
-            if value in ("E", "A") and nxt is not None and nxt[0] == "ident":
-                var = self.take()[1]
-                return (Exists if value == "E" else Forall)(var, self.formula())
-            if nxt is not None and nxt[1] == "(":
-                self.take()
-                first = self.take()
-                if first[0] != "ident":
-                    self.error("expected a variable")
-                after = self.take()
-                if after[1] == ")":
-                    return PropAtom(value, first[1])
-                if after[1] == ",":
-                    second = self.take()
-                    if second[0] != "ident":
-                        self.error("expected a variable")
-                    self.expect(")")
-                    if not value.startswith("E") or len(value) < 2:
-                        self.error(f"edge atoms look like E<agent>(u,v), got {value!r}")
-                    return EdgeAtom(value[1:], first[1], second[1])
-                self.error(f"expected ',' or ')', got {after[1]!r}")
-            if nxt is not None and nxt[1] == "=":
-                self.take()
-                other = self.take()
-                if other[0] != "ident":
-                    self.error("expected a variable after '='")
-                return Eq(value, other[1])
-            self.error(f"unexpected name {value!r}")
-        self.pos -= 1
-        self.error(f"unexpected token {value!r}")
-        raise AssertionError  # unreachable
+_FO_TOKEN = re.compile(
+    r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<punct>[()&|!,=])|(?P<bad>\S))"
+)
 
 
 def parse_fo_formula(text: str) -> FOFormula:
-    parser = _FOParser(text)
-    result = parser.formula()
-    if parser.peek() is not None:
-        parser.error("trailing input after formula")
+    """Parse the FO concrete syntax; ``format_fo_formula`` inverts it."""
+    tokens = _tokenize(_FO_TOKEN, text)
+    end = len(tokens)
+    pos = 0
+
+    def fail(message: str, index: int):
+        column = tokens[index][2] + 1 if index < end else len(text) + 1
+        raise ParseError(message, column=column)
+
+    def take() -> tuple[str, str, int]:
+        nonlocal pos
+        if pos == end:
+            fail("unexpected end of input", pos)
+        pos += 1
+        return tokens[pos - 1]
+
+    def expect(kind: str) -> None:
+        token = take()
+        if token[0] != kind:
+            fail(f"expected {kind!r}, got {token[1]!r}", pos)
+
+    def variable(message: str = "expected a variable") -> str:
+        kind, value, _ = take()
+        if kind != "ident":
+            fail(message, pos)
+        return value
+
+    def formula() -> FOFormula:
+        nonlocal pos
+        kind, value, _ = take()
+        if kind == "!":
+            return FONot(formula())
+        if kind == "(":
+            left = formula()
+            op, op_value, _ = take()
+            if op == ")":
+                return left
+            if op != "&" and op != "|":
+                fail(f"expected '&', '|' or ')', got {op_value!r}", pos)
+            right = formula()
+            expect(")")
+            return FOAnd(left, right) if op == "&" else FOOr(left, right)
+        if kind == "ident":
+            following = tokens[pos][0] if pos < end else None
+            if value in ("E", "A") and following == "ident":
+                return (Exists if value == "E" else Forall)(take()[1], formula())
+            if following == "(":
+                pos += 1
+                first = variable()
+                after, after_value, _ = take()
+                if after == ")":
+                    return PropAtom(value, first)
+                if after != ",":
+                    fail(f"expected ',' or ')', got {after_value!r}", pos)
+                second = variable()
+                expect(")")
+                if not value.startswith("E") or len(value) < 2:
+                    fail(f"edge atoms look like E<agent>(u,v), got {value!r}", pos)
+                return EdgeAtom(value[1:], first, second)
+            if following == "=":
+                pos += 1
+                return Eq(value, variable("expected a variable after '='"))
+            fail(f"unexpected name {value!r}", pos)
+        fail(f"unexpected token {value!r}", pos - 1)
+
+    result = formula()
+    if pos < end:
+        fail("trailing input after formula", pos)
     return result

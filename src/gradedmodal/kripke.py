@@ -210,12 +210,10 @@ def copies(m: KripkeStructure, count: int) -> KripkeStructure:
     return disjoint_union([m] * count)  # type: ignore[return-value]
 
 
-def _symmetric_adjacency(m: KripkeStructure, allowed: Optional[frozenset[int]] = None):
+def _symmetric_adjacency(m: KripkeStructure):
     adj: dict[int, set[int]] = {}
     for pairs in m.edges.values():
         for u, v in pairs:
-            if allowed is not None and (u not in allowed or v not in allowed):
-                continue
             adj.setdefault(u, set()).add(v)
             adj.setdefault(v, set()).add(u)
     return adj
@@ -276,6 +274,11 @@ def restrict(
     return PointedStructure(result, relabel[point])
 
 
+def _local_part(m: KripkeStructure, world: int, radius: int) -> PointedStructure:
+    """The restriction to the radius-neighbourhood of ``world``, pointed at it."""
+    return restrict(m, neighborhood(m, world, radius), point=world)  # type: ignore[return-value]
+
+
 @dataclass(frozen=True)
 class TreelikeReport:
     """Outcome of a rooted-tree-likeness check, with a witness on failure.
@@ -302,9 +305,7 @@ def is_rooted_treelike(m: KripkeStructure, root: int, radius: int) -> TreelikeRe
     one at distance d+1 from the root.  Conditions are checked in that order
     and the first failure is reported.
     """
-    hood = neighborhood(m, root, radius)
-    sub = restrict(m, hood, point=root)
-    assert isinstance(sub, PointedStructure)
+    sub = _local_part(m, root, radius)
     s, r = sub.structure, sub.point
 
     undirected: dict[frozenset[int], str] = {}
@@ -433,6 +434,30 @@ def unravel(pointed: PointedStructure, depth: int) -> PointedStructure:
         valuation[p].update(copy_off + w for w in m.valuation[p])
 
     return PointedStructure(KripkeStructure(sig, total, edges, valuation), 0)
+
+
+def _realize(sig: Signature, atoms: tuple, children: list[tuple[str, PointedStructure]]) -> PointedStructure:
+    """A tree with the given root label and child subtrees.
+
+    The root is world 0 and each child subtree follows in list order,
+    relabelled by its offset.
+    """
+    world_count = 1 + sum(c.structure.world_count for _, c in children)
+    edges: dict[str, set] = {a: set() for a in sig.agents}
+    valuation: dict[str, set] = {p: set() for p in sig.props}
+    for prop, holds in zip(sig.props, atoms):
+        if holds:
+            valuation[prop].add(0)
+    offset = 1
+    for agent, child in children:
+        sub = child.structure
+        edges[agent].add((0, offset + child.point))
+        for ag in sig.agents:
+            edges[ag].update((offset + u, offset + v) for u, v in sub.edges[ag])
+        for p in sig.props:
+            valuation[p].update(offset + w for w in sub.valuation[p])
+        offset += sub.world_count
+    return PointedStructure(KripkeStructure(sig, world_count, edges, valuation), 0)
 
 
 # ---------------------------------------------------------------------------

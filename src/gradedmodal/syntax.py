@@ -209,26 +209,32 @@ def or_all(formulas: list[Formula]) -> Formula:
 
 
 # The last group catches any other character, so one scan finds every token
-# and the first bad character.
+# and the first bad character.  The FO grammar's pattern follows the same
+# scheme.
 _TOKEN = re.compile(
     r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<punct>[()&|!<>:\[\]])|(?P<bad>\S))"
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Tokens as (kind, value, start); a punctuation token's kind is itself."""
+def _tokenize(pattern: "re.Pattern[str]", text: str) -> list[tuple[str, str, int]]:
+    """Tokens as (kind, value, start); a punctuation token's kind is itself.
+
+    ``pattern`` names its groups by token kind and ends in a ``bad`` group
+    matching any other non-space character, which is reported at its own
+    column.
+    """
     tokens = []
-    for match in _TOKEN.finditer(text):
+    for match in pattern.finditer(text):
         kind = match.lastgroup
         value = match[kind]
         if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", column=match.start() + 1)
+            raise ParseError(f"unexpected character {value!r}", column=match.start(kind) + 1)
         tokens.append((value if kind == "punct" else kind, value, match.start(kind)))
     return tokens
 
 
 def parse_formula(text: str) -> Formula:
-    tokens = _tokenize(text)
+    tokens = _tokenize(_TOKEN, text)
     end = len(tokens)
     pos = 0
 

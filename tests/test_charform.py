@@ -143,9 +143,29 @@ def test_catalog_models_realize_their_descriptors():
 def test_catalog_mode_consistent_with_entries():
     cat = enumerate_types(SIG_A, 2, 2)
     assert len(cat) == 27
+    shallow = {depth: enumerate_types(SIG_A, 2, depth) for depth in (0, 1)}
     for e in cat.entries:
-        rebuilt = characteristic_formula(e.model, 2, 2, catalog=cat)
-        assert rebuilt == e.formula
+        assert characteristic_formula(e.model, 2, 2, catalog=cat) is e.formula
+        # below the catalog's depth: the entry of the shallower catalog whose
+        # model is equivalent at that depth
+        for depth, other in shallow.items():
+            (expected,) = [
+                s.formula for s in other.entries if bounded_equivalence(s.model, e.model, 2, depth)
+            ]
+            assert characteristic_formula(e.model, 2, depth, catalog=cat) is expected
+    # On structures that are not catalog models, at every depth up to the
+    # catalog's: the formula is a catalog level formula, holds at the point,
+    # and is the same object exactly for equivalent points.
+    rng = random.Random(31)
+    cat = enumerate_types(SIG_AP, 1, 2)
+    for _ in range(30):
+        a, b = random_structure(rng, SIG_AP), random_structure(rng, SIG_AP)
+        for depth in (0, 1, 2):
+            chi_a = characteristic_formula(a, 1, depth, catalog=cat)
+            chi_b = characteristic_formula(b, 1, depth, catalog=cat)
+            assert any(chi_a is f for f in cat.level_formulas[depth])
+            assert satisfies(a, chi_a)
+            assert (chi_a is chi_b) == bool(bounded_equivalence(a, b, 1, depth))
 
 
 def test_catalog_guard():

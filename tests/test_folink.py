@@ -6,6 +6,7 @@ from gradedmodal import (
     Diamond,
     EvaluationError,
     KripkeStructure,
+    ParseError,
     PointedStructure,
     Prop,
     ResourceLimitError,
@@ -31,6 +32,9 @@ from gradedmodal.folink import (
     FOAnd,
     FONot,
     PropAtom,
+    _random_tree_term,
+    _smallest_tree_terms,
+    _tree_terms,
     free_vars,
 )
 
@@ -85,6 +89,22 @@ def test_translation_rank_shape():
         assert quantifier_rank(fo) >= nesting_depth(f)
         inner = standard_translation(Diamond("a", 3, f))
         assert quantifier_rank(inner) == 3 + quantifier_rank(fo)
+
+
+def test_translation_does_not_capture_the_free_variable():
+    edge = PointedStructure(KripkeStructure(SIG_A, 2, {"a": {(0, 1)}}), 0)
+    one = parse_formula("<a:1> true")
+    assert satisfies(edge, one)
+    rng = random.Random(37)
+    for var in ("x", "y1", "y2"):
+        fo = standard_translation(one, var)
+        assert free_vars(fo) == frozenset((var,))
+        assert fo_eval(edge.structure, {var: 0}, fo)
+        for _ in range(40):
+            sig = random_signature(rng)
+            m = random_structure(rng, sig)
+            f = random_formula(rng, sig, depth=2, max_grade=2)
+            assert fo_eval(m.structure, {var: m.point}, standard_translation(f, var)) == satisfies(m, f)
 
 
 def _exists_p():
@@ -274,6 +294,26 @@ def test_find_cap_two_forced_by_fans():
     assert at_one
 
 
+def test_sampled_trees_are_enumerated_trees():
+    # The sampler orders children as the enumerator does, so a sampled tree
+    # equal to an enumerated one is the same term.
+    exhaustive = set(_tree_terms(SIG_AP, 2, 7))
+    rng = random.Random(0)
+    for _ in range(200):
+        assert _random_tree_term(rng, SIG_AP, 2, 7) in exhaustive
+
+
+def test_smallest_tree_terms_match_the_full_enumeration():
+    for sig in (SIG_A, SIG_AP, Signature(("a", "b"), ())):
+        for depth in (0, 1, 2):
+            for size in (1, 3, 5):
+                full = _tree_terms(sig, depth, size)
+                for budget in (1, 4, 30, len(full) - 1, len(full), len(full) + 1):
+                    terms, exhausted = _smallest_tree_terms(sig, depth, size, budget)
+                    assert terms == full[:budget]
+                    assert exhausted == (len(full) <= budget)
+
+
 def test_upgrade_identical_inputs():
     report = upgrade_pipeline(parse_formula("<a:2> true"), fan(2), fan(2), cap=2)
     assert report.quantifier_rank == 2
@@ -317,3 +357,32 @@ def test_fo_round_trip():
 def test_free_vars():
     fo = Exists("y", FOAnd(EdgeAtom("a", "x", "y"), Eq("y", "z")))
     assert free_vars(fo) == frozenset({"x", "z"})
+
+
+@pytest.mark.parametrize(
+    "text, message, column",
+    [
+        ("", "unexpected end of input", 1),
+        ("E y", "unexpected end of input", 4),
+        ("A x", "unexpected end of input", 4),
+        ("p(x) q(x)", "trailing input after formula", 6),
+        ("(p(x) & q(x)", "unexpected end of input", 13),
+        ("p(x,y)", "edge atoms look like E<agent>(u,v), got 'p'", 7),
+        ("E(x,y)", "edge atoms look like E<agent>(u,v), got 'E'", 7),
+        ("(p(x) , q(x))", "expected '&', '|' or ')', got ','", 9),
+        ("p(,)", "expected a variable", 4),
+        ("x = )", "expected a variable after '='", 6),
+        ("p(x y)", "expected ',' or ')', got 'y'", 6),
+        ("Ea(x,y,", "expected ')', got ','", 8),
+        ("x", "unexpected name 'x'", 2),
+        (")", "unexpected token ')'", 1),
+        # a bad character is reported at its own column, as in parse_formula
+        ("p(x) & 1", "unexpected character '1'", 8),
+        ("p(1)", "unexpected character '1'", 3),
+    ],
+)
+def test_fo_parse_errors(text, message, column):
+    with pytest.raises(ParseError) as info:
+        parse_fo_formula(text)
+    assert str(info.value) == f"{message} (column {column})"
+    assert info.value.column == column

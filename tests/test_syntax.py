@@ -55,6 +55,13 @@ def test_parse_errors_carry_positions():
         parse_formula("")
 
 
+def test_unexpected_character_reported_at_its_own_column():
+    for text, column in (("#", 1), ("  #", 3), ("(p & #)", 6), ("(p &#)", 5)):
+        with pytest.raises(ParseError) as info:
+            parse_formula(text)
+        assert str(info.value) == f"unexpected character '#' (column {column})"
+
+
 def test_format_fixtures():
     assert format_formula(Diamond("a", 1, Top())) == "<a:1> true"
     assert format_formula(And(Prop("p"), Not(Prop("q")))) == "(p & !q)"
