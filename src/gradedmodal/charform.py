@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .equivalence import bounded_equivalence, refine_to, type_descriptor
+from .equivalence import _descriptors, bounded_equivalence, refine_to, type_descriptor
 from .errors import GradedModalError, ResourceLimitError, SignatureError
 from .kripke import PointedStructure, Signature, _realize, disjoint_union, part_offsets
 from .semantics import satisfies
@@ -181,28 +181,6 @@ def catalog_size(sig: Signature, cap: int, depth: int) -> int:
     return count
 
 
-def _lift_descriptor(atoms: tuple, count_maps: list[dict], level: int, cap: int):
-    """Assemble the canonical descriptor for a root with the given children.
-
-    ``count_maps`` holds, per agent, the map from child descriptors at
-    ``level - 1`` to their (positive, capped) multiplicities.  The embedded
-    lower-level descriptor is recomputed by truncating the children.
-    """
-    if level == 0:
-        return atoms
-    body = tuple(tuple(sorted(cm.items())) for cm in count_maps)
-    if level == 1:
-        return (atoms, body)
-    truncated = []
-    for cm in count_maps:
-        t: dict = {}
-        for d, n in cm.items():
-            td = d[0]
-            t[td] = min(cap, t.get(td, 0) + n)
-        truncated.append({d: n for d, n in t.items() if n > 0})
-    return (_lift_descriptor(atoms, truncated, level - 1, cap), body)
-
-
 def enumerate_types(
     sig: Signature,
     cap: int,
@@ -214,9 +192,9 @@ def enumerate_types(
 
     The catalog size is computed up front and guarded before any
     materialization.  Canonical models realize a type as a tree with exactly
-    n children per child type, n being the capped count.  The pairwise
-    inequivalence of all canonical models is re-checked by refining their
-    disjoint union.
+    n children per child type, n being the capped count.  Each level's
+    descriptors are those the refinement key gives the canonical models'
+    points in their disjoint union; the final ones must be pairwise distinct.
     """
     if cap < 0 or depth < 0:
         raise ValueError("cap and depth must be nonnegative")
@@ -237,40 +215,44 @@ def enumerate_types(
 
     for level in range(1, depth + 1):
         prev = level_descs[-1]
-        descs = []
-        models: dict = {}
-        formulas: dict = {}
         count_choices = list(product(range(cap + 1), repeat=len(prev)))
-        for atoms in atom_options:
-            for combo in product(count_choices, repeat=len(sig.agents)):
-                count_maps = [
-                    {prev[i]: n for i, n in enumerate(per_agent) if n > 0}
-                    for per_agent in combo
-                ]
-                desc = _lift_descriptor(atoms, count_maps, level, cap)
-                children = []
-                conjuncts = [level_formulas[level - 1][desc[0]]]
-                for agent, cm in zip(sig.agents, count_maps):
-                    for d in prev:
-                        child_formula = level_formulas[level - 1][d]
-                        n = cm.get(d, 0)
-                        conjuncts.extend(_grade_conjuncts(agent, n, cap, child_formula))
-                        children.extend((agent, level_models[level - 1][d]) for _ in range(n))
-                descs.append(desc)
-                models[desc] = _realize(sig, atoms, children)
-                formulas[desc] = and_all(conjuncts)
-        order = sorted(range(len(descs)), key=lambda i: descs[i])
-        descs = [descs[i] for i in order]
-        level_descs.append(descs)
-        level_models.append(models)
+        shapes = [
+            (atoms, combo)
+            for atoms in atom_options
+            for combo in product(count_choices, repeat=len(sig.agents))
+        ]
+        built = []
+        for atoms, combo in shapes:
+            children = [
+                (agent, level_models[level - 1][d])
+                for agent, counts in zip(sig.agents, combo)
+                for d, n in zip(prev, counts)
+                for _ in range(n)
+            ]
+            built.append(_realize(sig, atoms, children))
+        parts = [model.structure for model in built]
+        worlds = _descriptors(disjoint_union(parts), cap, level)
+        descs = [worlds[off + model.point] for off, model in zip(part_offsets(parts), built)]
+        formulas: dict = {}
+        for desc, (atoms, combo) in zip(descs, shapes):
+            conjuncts = [level_formulas[level - 1][desc[0]]]
+            for agent, counts in zip(sig.agents, combo):
+                for d, n in zip(prev, counts):
+                    child_formula = level_formulas[level - 1][d]
+                    conjuncts.extend(_grade_conjuncts(agent, n, cap, child_formula))
+            formulas[desc] = and_all(conjuncts)
+        level_descs.append(sorted(descs))
+        level_models.append(dict(zip(descs, built)))
         level_formulas.append(formulas)
 
     final = level_descs[depth]
+    if len(set(final)) != len(final):
+        raise GradedModalError("catalog entries are not pairwise inequivalent")
     entries = tuple(
         TypeEntry(i, level_formulas[depth][d], level_models[depth][d])
         for i, d in enumerate(final)
     )
-    catalog = TypeCatalog(
+    return TypeCatalog(
         sig,
         cap,
         depth,
@@ -281,20 +263,6 @@ def enumerate_types(
             for lvl in range(depth + 1)
         ),
     )
-    _verify_catalog(catalog)
-    return catalog
-
-
-def _verify_catalog(catalog: TypeCatalog):
-    models = [e.model.structure for e in catalog.entries]
-    if len(models) < 2:
-        return
-    offsets = part_offsets(models)
-    history = refine_to(disjoint_union(models), catalog.cap, offsets, catalog.depth)
-    final = history.levels[-1]
-    points = [final[off + e.model.point] for off, e in zip(offsets, catalog.entries)]
-    if len(set(points)) != len(points):
-        raise GradedModalError("catalog entries are not pairwise inequivalent")
 
 
 def normal_form(
@@ -310,7 +278,8 @@ def normal_form(
 
     The empty disjunction is ``false``.  Requires the input to lie inside
     the cap/depth fragment.  Without an explicit signature or catalog, the
-    signature is inferred from the symbols occurring in the formula.
+    signature is inferred from the symbols occurring in the formula.  A
+    catalog must have been built at exactly the cap and depth given.
     """
     if not in_fragment(formula, FragmentBound(cap, depth)):
         raise ValueError("formula lies outside the requested fragment")
@@ -318,6 +287,8 @@ def normal_form(
         if signature is None:
             signature = inferred_signature(formula)
         catalog = enumerate_types(signature, cap, depth, max_entries=max_entries)
+    elif catalog.cap != cap or catalog.depth != depth:
+        raise ValueError("catalog bounds differ from the requested bounds")
     disjuncts = [e.formula for e in catalog.entries if satisfies(e.model, formula)]
     return or_all(disjuncts)
 

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Every subcommand reads structures from files in the text format and
-formulas from the command line.  Exit codes: 0 = true/equivalent,
-1 = false/inequivalent, 2 = usage or parse error, 3 = resource guard.
-All error text goes to stderr; with --json a single JSON document goes to
-stdout.
+formulas from the command line.  Each handler returns ``(verdict, payload,
+text)`` and prints nothing; ``run`` alone writes the result: one JSON
+document (``payload``) with --json, else ``text``.  Exit codes: 0 =
+true/equivalent, 1 = false/inequivalent, 2 = usage or parse error, 3 =
+resource guard.  Commands that give no verdict return True, so they exit 0
+on success.  All error text goes to stderr.
 """
 
 from __future__ import annotations
@@ -39,32 +41,21 @@ def _load_pointed(path: str) -> kripke.PointedStructure:
     return value
 
 
-def _emit(args, payload: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(human)
-
-
 def _signature_from(args) -> kripke.Signature:
     agents = tuple(args.agents.split(",")) if args.agents else ()
     props = tuple(args.props.split(",")) if args.props else ()
     return kripke.Signature(agents, props)
 
 
-def _cmd_mc(args) -> int:
+def _cmd_mc(args) -> tuple[bool, dict, str]:
     target = _load_pointed(args.structure)
     formula = syntax.parse_formula(args.formula)
     verdict = semantics.satisfies(target, formula)
-    _emit(
-        args,
-        {"command": "mc", "formula": args.formula, "verdict": verdict},
-        "true" if verdict else "false",
-    )
-    return EXIT_TRUE if verdict else EXIT_FALSE
+    payload = {"command": "mc", "formula": args.formula, "verdict": verdict}
+    return verdict, payload, "true" if verdict else "false"
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args) -> tuple[bool, dict, str]:
     a = _load_pointed(args.left)
     b = _load_pointed(args.right)
     result = equivalence.bounded_equivalence(a, b, args.c, args.l)
@@ -76,17 +67,15 @@ def _cmd_equiv(args) -> int:
         "history": result.history.to_json_dict(),
     }
     if result.equivalent:
-        _emit(args, payload, "equivalent")
-        return EXIT_TRUE
+        return True, payload, "equivalent"
     separator = charform.distinguishing_formula(a, b, args.c, args.l)
     printed = syntax.format_formula(separator)
     payload["distinguishing_formula"] = printed
     payload["holds_in"] = "left"
-    _emit(args, payload, f"inequivalent; distinguished by {printed}")
-    return EXIT_FALSE
+    return False, payload, f"inequivalent; distinguished by {printed}"
 
 
-def _cmd_bisim(args) -> int:
+def _cmd_bisim(args) -> tuple[bool, dict, str]:
     a = _load_pointed(args.left)
     b = _load_pointed(args.right)
     result = equivalence.full_graded_bisimilarity(a, b)
@@ -95,25 +84,30 @@ def _cmd_bisim(args) -> int:
         "equivalent": result.equivalent,
         "history": result.history.to_json_dict(),
     }
-    _emit(args, payload, "bisimilar" if result.equivalent else "not bisimilar")
-    return EXIT_TRUE if result.equivalent else EXIT_FALSE
+    text = "bisimilar" if result.equivalent else "not bisimilar"
+    return result.equivalent, payload, text
 
 
-def _cmd_game(args) -> int:
+def _cmd_game(args) -> tuple[bool, dict, str]:
     a = _load_pointed(args.left)
     b = _load_pointed(args.right)
     result = game.solve_game(a, b, args.c, args.l)
-    payload = {"command": "game", "cap": args.c, "rounds": args.l, "winner": result.winner}
-    if args.trace or args.json:
-        payload["trace"] = result.to_json_dict()
-    if args.trace and not args.json:
-        print(json.dumps(payload["trace"], indent=2, sort_keys=True))
+    trace = result.to_json_dict()
+    payload = {
+        "command": "game",
+        "cap": args.c,
+        "rounds": args.l,
+        "winner": result.winner,
+        "trace": trace,
+    }
+    if args.trace:
+        text = json.dumps(trace, indent=2, sort_keys=True)
     else:
-        _emit(args, payload, f"winner: {result.winner}")
-    return EXIT_TRUE if result.winner == game.DUPLICATOR else EXIT_FALSE
+        text = f"winner: {result.winner}"
+    return result.winner == game.DUPLICATOR, payload, text
 
 
-def _cmd_char(args) -> int:
+def _cmd_char(args) -> tuple[bool, dict, str]:
     target = _load_pointed(args.structure)
     catalog = None
     if args.catalog:
@@ -128,75 +122,55 @@ def _cmd_char(args) -> int:
         exclude_unrealized=not args.literal_chi,
     )
     printed = syntax.format_formula(formula)
-    _emit(
-        args,
-        {"command": "char", "cap": args.c, "depth": args.l, "formula": printed},
-        printed,
-    )
-    return EXIT_TRUE
+    payload = {"command": "char", "cap": args.c, "depth": args.l, "formula": printed}
+    return True, payload, printed
 
 
-def _cmd_types(args) -> int:
+def _cmd_types(args) -> tuple[bool, dict, str]:
     sig = _signature_from(args)
     catalog = charform.enumerate_types(sig, args.c, args.l, max_entries=args.max_entries)
-    if args.json:
-        print(json.dumps(catalog.to_json_dict(), indent=2, sort_keys=True))
-    else:
-        print(f"{len(catalog)} types at cap {args.c}, depth {args.l}")
-        for entry in catalog.entries:
-            print(f"  type {entry.type_id}: {syntax.format_formula(entry.formula)}")
-    return EXIT_TRUE
+    payload = catalog.to_json_dict()
+    lines = [f"{len(catalog)} types at cap {args.c}, depth {args.l}"]
+    lines.extend(f"  type {e['type_id']}: {e['formula']}" for e in payload["entries"])
+    return True, payload, "\n".join(lines)
 
 
-def _cmd_nf(args) -> int:
+def _cmd_nf(args) -> tuple[bool, dict, str]:
     formula = syntax.parse_formula(args.formula)
     signature = _signature_from(args) if (args.agents or args.props) else None
     result = charform.normal_form(
         formula, args.c, args.l, signature=signature, max_entries=args.max_entries
     )
     printed = syntax.format_formula(result)
-    _emit(
-        args,
-        {"command": "nf", "cap": args.c, "depth": args.l, "formula": printed},
-        printed,
-    )
-    return EXIT_TRUE
+    payload = {"command": "nf", "cap": args.c, "depth": args.l, "formula": printed}
+    return True, payload, printed
 
 
-def _cmd_distinguish(args) -> int:
+def _cmd_distinguish(args) -> tuple[bool, dict, str]:
     a = _load_pointed(args.left)
     b = _load_pointed(args.right)
     separator = charform.distinguishing_formula(a, b, args.c, args.l)
     if separator is None:
-        _emit(args, {"command": "distinguish", "equivalent": True}, "equivalent")
-        return EXIT_TRUE
+        return True, {"command": "distinguish", "equivalent": True}, "equivalent"
     printed = syntax.format_formula(separator)
-    _emit(
-        args,
-        {
-            "command": "distinguish",
-            "equivalent": False,
-            "formula": printed,
-            "holds_in": "left",
-        },
-        printed,
-    )
-    return EXIT_FALSE
+    payload = {
+        "command": "distinguish",
+        "equivalent": False,
+        "formula": printed,
+        "holds_in": "left",
+    }
+    return False, payload, printed
 
 
-def _cmd_unravel(args) -> int:
+def _cmd_unravel(args) -> tuple[bool, dict, str]:
     target = _load_pointed(args.structure)
     result = kripke.unravel(target, args.depth)
     text = kripke.dump_structure(result, name="unravelled")
-    _emit(
-        args,
-        {"command": "unravel", "depth": args.depth, "structure": text},
-        text.rstrip("\n"),
-    )
-    return EXIT_TRUE
+    payload = {"command": "unravel", "depth": args.depth, "structure": text}
+    return True, payload, text.rstrip("\n")
 
 
-def _cmd_restrict(args) -> int:
+def _cmd_restrict(args) -> tuple[bool, dict, str]:
     value = _load(args.structure)
     m = value.structure if isinstance(value, kripke.PointedStructure) else value
     if args.worlds:
@@ -206,11 +180,10 @@ def _cmd_restrict(args) -> int:
     else:
         result = kripke._local_part(m, args.around, args.radius)
     text = kripke.dump_structure(result, name="restricted")
-    _emit(args, {"command": "restrict", "structure": text}, text.rstrip("\n"))
-    return EXIT_TRUE
+    return True, {"command": "restrict", "structure": text}, text.rstrip("\n")
 
 
-def _cmd_treelike(args) -> int:
+def _cmd_treelike(args) -> tuple[bool, dict, str]:
     value = _load(args.structure)
     if isinstance(value, kripke.PointedStructure):
         m, root = value.structure, value.point
@@ -229,26 +202,20 @@ def _cmd_treelike(args) -> int:
         "witness": list(report.witness) if report.witness is not None else None,
     }
     if report.ok:
-        _emit(args, payload, "rooted-tree-like")
-        return EXIT_TRUE
-    _emit(args, payload, f"not tree-like: {report.failed} (witness {report.witness})")
-    return EXIT_FALSE
+        return True, payload, "rooted-tree-like"
+    return False, payload, f"not tree-like: {report.failed} (witness {report.witness})"
 
 
-def _cmd_translate(args) -> int:
+def _cmd_translate(args) -> tuple[bool, dict, str]:
     formula = syntax.parse_formula(args.formula)
     fo = folink.standard_translation(formula, args.var)
     printed = folink.format_fo_formula(fo)
-    _emit(
-        args,
-        {
-            "command": "translate",
-            "fo_formula": printed,
-            "quantifier_rank": folink.quantifier_rank(fo),
-        },
-        printed,
-    )
-    return EXIT_TRUE
+    payload = {
+        "command": "translate",
+        "fo_formula": printed,
+        "quantifier_rank": folink.quantifier_rank(fo),
+    }
+    return True, payload, printed
 
 
 def _parse_assignment(text: Optional[str]) -> dict[str, int]:
@@ -266,7 +233,7 @@ def _parse_assignment(text: Optional[str]) -> dict[str, int]:
     return assignment
 
 
-def _cmd_fo_eval(args) -> int:
+def _cmd_fo_eval(args) -> tuple[bool, dict, str]:
     value = _load(args.structure)
     fo = folink.parse_fo_formula(args.formula)
     assignment = _parse_assignment(args.assign)
@@ -277,52 +244,36 @@ def _cmd_fo_eval(args) -> int:
     else:
         m = value
     verdict = folink.fo_eval(m, assignment, fo)
-    _emit(
-        args,
-        {"command": "fo-eval", "verdict": verdict, "assignment": assignment},
-        "true" if verdict else "false",
-    )
-    return EXIT_TRUE if verdict else EXIT_FALSE
+    payload = {"command": "fo-eval", "verdict": verdict, "assignment": assignment}
+    return verdict, payload, "true" if verdict else "false"
 
 
-def _cmd_fo_equiv(args) -> int:
+def _cmd_fo_equiv(args) -> tuple[bool, dict, str]:
     a = _load_pointed(args.left)
     b = _load_pointed(args.right)
     verdict = folink.fo_q_equivalent(a, b, args.q)
-    _emit(
-        args,
-        {"command": "fo-equiv", "q": args.q, "equivalent": verdict},
-        "equivalent" if verdict else "inequivalent",
-    )
-    return EXIT_TRUE if verdict else EXIT_FALSE
+    payload = {"command": "fo-equiv", "q": args.q, "equivalent": verdict}
+    return verdict, payload, "equivalent" if verdict else "inequivalent"
 
 
-def _cmd_local(args) -> int:
+def _cmd_local(args) -> tuple[bool, dict, str]:
     target = _load_pointed(args.structure)
     fo = folink.parse_fo_formula(args.formula)
     verdict = folink.is_l_local(fo, target, args.l)
-    _emit(
-        args,
-        {"command": "local", "radius": args.l, "local": verdict},
-        "local" if verdict else "not local",
-    )
-    return EXIT_TRUE if verdict else EXIT_FALSE
+    payload = {"command": "local", "radius": args.l, "local": verdict}
+    return verdict, payload, "local" if verdict else "not local"
 
 
-def _cmd_pad(args) -> int:
+def _cmd_pad(args) -> tuple[bool, dict, str]:
     target = _load_pointed(args.structure)
     padded_full, padded_local = folink.locality_padding(target, args.l, args.q)
     full_text = kripke.dump_structure(padded_full, name="padded_full")
     local_text = kripke.dump_structure(padded_local, name="padded_local")
-    _emit(
-        args,
-        {"command": "pad", "full": full_text, "local": local_text},
-        full_text + "\n" + local_text.rstrip("\n"),
-    )
-    return EXIT_TRUE
+    payload = {"command": "pad", "full": full_text, "local": local_text}
+    return True, payload, full_text + "\n" + local_text.rstrip("\n")
 
 
-def _cmd_upgrade(args) -> int:
+def _cmd_upgrade(args) -> tuple[bool, dict, str]:
     a = _load_pointed(args.left)
     b = _load_pointed(args.right)
     formula = syntax.parse_formula(args.formula)
@@ -333,25 +284,18 @@ def _cmd_upgrade(args) -> int:
         cap=args.c,
         radius_override=args.l,
     )
-    if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.render_text())
-    return EXIT_TRUE if report.holds else EXIT_FALSE
+    return report.holds, report.to_json_dict(), report.render_text()
 
 
-def _cmd_find_c(args) -> int:
+def _cmd_find_c(args) -> tuple[bool, dict, str]:
     sig = _signature_from(args)
     result = folink.find_cap(args.q, args.l, sig, args.size_bound)
-    if args.json:
-        print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
-    else:
-        scope = "exhaustive" if result.exhaustive else "sampled"
-        print(
-            f"c = {result.cap} over {result.structures_examined} structures "
-            f"({scope}); {len(result.counterexamples)} counterexamples below it"
-        )
-    return EXIT_TRUE
+    scope = "exhaustive" if result.exhaustive else "sampled"
+    text = (
+        f"c = {result.cap} over {result.structures_examined} structures "
+        f"({scope}); {len(result.counterexamples)} counterexamples below it"
+    )
+    return True, result.to_json_dict(), text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,28 +311,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit one JSON document")
         return p
 
-    def bounds(p, cap=True, depth=True):
-        if cap:
-            p.add_argument("--c", type=int, required=True, help="counting cap")
-        if depth:
-            p.add_argument("--l", type=int, required=True, help="round/nesting depth")
+    def pair(p):
+        p.add_argument("left")
+        p.add_argument("right")
+        return p
+
+    def bounds(p):
+        p.add_argument("--c", type=int, required=True, help="counting cap")
+        p.add_argument("--l", type=int, required=True, help="round/nesting depth")
 
     p = add("mc", _cmd_mc, "model check a formula at a pointed structure")
     p.add_argument("structure")
     p.add_argument("formula")
 
-    p = add("equiv", _cmd_equiv, "cost-bounded equivalence of two pointed structures")
-    p.add_argument("left")
-    p.add_argument("right")
+    p = pair(add("equiv", _cmd_equiv, "cost-bounded equivalence of two pointed structures"))
     bounds(p)
 
-    p = add("bisim", _cmd_bisim, "full counting bisimilarity")
-    p.add_argument("left")
-    p.add_argument("right")
+    pair(add("bisim", _cmd_bisim, "full counting bisimilarity"))
 
-    p = add("game", _cmd_game, "solve the bounded game explicitly")
-    p.add_argument("left")
-    p.add_argument("right")
+    p = pair(add("game", _cmd_game, "solve the bounded game explicitly"))
     bounds(p)
     p.add_argument("--trace", action="store_true", help="print the strategy as JSON")
 
@@ -412,9 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--props", default="")
     p.add_argument("--max-entries", type=int, default=5000)
 
-    p = add("distinguish", _cmd_distinguish, "formula separating two pointed structures")
-    p.add_argument("left")
-    p.add_argument("right")
+    p = pair(add("distinguish", _cmd_distinguish, "formula separating two pointed structures"))
     bounds(p)
 
     p = add("unravel", _cmd_unravel, "partial tree unravelling with continuation copy")
@@ -441,9 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     p.add_argument("--assign", default="", help="e.g. x=0,y=2; the point fills missing vars")
 
-    p = add("fo-equiv", _cmd_fo_equiv, "rank-bounded FO equivalence")
-    p.add_argument("left")
-    p.add_argument("right")
+    p = pair(add("fo-equiv", _cmd_fo_equiv, "rank-bounded FO equivalence"))
     p.add_argument("--q", type=int, required=True)
 
     p = add("local", _cmd_local, "instance-level locality of an FO formula")
@@ -458,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("upgrade", _cmd_upgrade, "run the locality/upgrading pipeline")
     p.add_argument("formula")
-    p.add_argument("left")
-    p.add_argument("right")
+    pair(p)
     p.add_argument("--c", type=int, default=None, help="counting cap (searched when omitted)")
     p.add_argument("--l", type=int, default=None, help="override the derived radius")
 
@@ -480,13 +416,15 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else EXIT_TRUE
     try:
-        return args.func(args)
+        verdict, payload, text = args.func(args)
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (GradedModalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else text)
+    return EXIT_TRUE if verdict else EXIT_FALSE
 
 
 def main() -> None:

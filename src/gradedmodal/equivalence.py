@@ -322,7 +322,16 @@ def type_descriptor(
     they are equivalent at that cap and depth; this is the value-level twin
     of the refinement classes and is arena-independent.
     """
+    return _descriptors(m, cap, depth)[world]
+
+
+def _descriptors(m: KripkeStructure, cap: Optional[int], depth: int) -> list:
+    """The type descriptor of every world: ``depth`` levels of nested keys.
+
+    A level-``d`` descriptor is ``(level-(d-1) descriptor, per-agent sorted
+    (child descriptor, capped count) pairs)``; level 0 is the atom tuple.
+    """
     level = _atom_keys(m)
     for _ in range(depth):
         level = _level_keys(m, level, cap)
-    return level[world]
+    return level

@@ -238,12 +238,14 @@ def fo_eval(m: KripkeStructure, assignment: Mapping[str, int], formula: FOFormul
     return ev(formula)
 
 
+# Positions ``fo_q_equivalent`` may visit before it gives up.
+BACK_AND_FORTH_BUDGET = 2_000_000
+
+
 def fo_q_equivalent(
     a: PointedStructure,
     b: PointedStructure,
     q: int,
-    *,
-    max_states: int = 2_000_000,
 ) -> bool:
     """Round-bounded back-and-forth equivalence of the two pointed structures.
 
@@ -257,7 +259,7 @@ def fo_q_equivalent(
     if q < 0:
         raise ValueError("q must be nonnegative")
     ka, kb = a.structure, b.structure
-    budget = [max_states]
+    budget = [BACK_AND_FORTH_BUDGET]
     memo: dict = {}
 
     def partial_isomorphism(av: tuple[int, ...], bv: tuple[int, ...]) -> bool:

@@ -27,6 +27,8 @@ from .kripke import KripkeStructure, PointedStructure
 
 DUPLICATOR = "duplicator"
 SPOILER = "spoiler"
+# Positions and spoiler sets ``solve_game`` may examine before it gives up.
+STEP_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -184,8 +186,6 @@ def solve_game(
     b: PointedStructure,
     cap: int,
     rounds: int,
-    *,
-    max_steps: int = 5_000_000,
 ) -> GameResult:
     """Exact value of the bounded game, with a strategy for the winner.
 
@@ -202,7 +202,7 @@ def solve_game(
     ka, kb = a.structure, b.structure
     na, nb = ka.world_count, kb.world_count
     agents = ka.signature.agents
-    budget = _Budget(max_steps)
+    budget = _Budget(STEP_BUDGET)
 
     atom = _atom_masks(ka, kb)
     succ_a_mask = _successor_masks(ka)

@@ -204,6 +204,16 @@ def test_normal_form_rejects_out_of_fragment():
         normal_form(parse_formula("<a:3> true"), 2, 1, signature=SIG_A)
 
 
+def test_normal_form_rejects_a_catalog_of_other_bounds():
+    # A cap-1 catalog has no type with two successors, so at cap 2 it would
+    # turn "<a:2> true" into false.
+    cat = enumerate_types(SIG_A, 1, 1)
+    with pytest.raises(ValueError):
+        normal_form(parse_formula("<a:2> true"), 2, 1, catalog=cat)
+    with pytest.raises(ValueError):
+        normal_form(parse_formula("<a:1> true"), 1, 2, catalog=cat)
+
+
 def test_normal_form_agrees_semantically():
     rng = random.Random(19)
     cat = enumerate_types(SIG_AP, 1, 1)

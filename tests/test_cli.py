@@ -1,9 +1,13 @@
+import argparse
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from gradedmodal.cli import run
+import gradedmodal
+from gradedmodal.cli import build_parser, run
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -208,3 +212,62 @@ def test_mc_on_p_free_formula_vs_structure_mismatch(capsys):
         assert run(["mc", _path("fan3.kr"), formula]) == 2
         err = capsys.readouterr().err
         assert message in err
+
+
+# One --json invocation per subcommand, with the verdict its document states
+# (None for commands that give no verdict and so exit 0).
+CONTRACT_CASES = {
+    "mc": (["mc", "fan3.kr", "<a:4> true"], lambda d: d["verdict"]),
+    "equiv": (["equiv", "fan2.kr", "fan3.kr", "--c", "3", "--l", "1"], lambda d: d["equivalent"]),
+    "bisim": (["bisim", "loop1.kr", "loop1.kr"], lambda d: d["equivalent"]),
+    "game": (["game", "fan2.kr", "fan3.kr", "--c", "2", "--l", "1"], lambda d: d["winner"] == "duplicator"),
+    "char": (["char", "fan3.kr", "--c", "2", "--l", "1", "--catalog"], None),
+    "types": (["types", "--agents", "a", "--props", "p", "--c", "1", "--l", "1"], None),
+    "nf": (["nf", "<a:1> p", "--c", "1", "--l", "1", "--agents", "a", "--props", "p"], None),
+    "distinguish": (["distinguish", "fan2.kr", "fan3.kr", "--c", "3", "--l", "1"], lambda d: d["equivalent"]),
+    "unravel": (["unravel", "loop1.kr", "--depth", "2"], None),
+    "restrict": (["restrict", "chain3.kr", "--worlds", "0,1"], None),
+    "treelike": (["treelike", "loop1.kr", "--l", "1"], lambda d: d["ok"]),
+    "translate": (["translate", "<a:2> p"], None),
+    "fo-eval": (["fo-eval", "fan3.kr", "E y Ea(x,y)"], lambda d: d["verdict"]),
+    "fo-equiv": (["fo-equiv", "fan2.kr", "fan3.kr", "--q", "3"], lambda d: d["equivalent"]),
+    "local": (["local", "E y Ea(x,y)", "fan3.kr", "--l", "1"], lambda d: d["local"]),
+    "pad": (["pad", "fan2.kr", "--l", "1", "--q", "1"], None),
+    "upgrade": (["upgrade", "<a:3> true", "fan2.kr", "fan3.kr", "--c", "2"], lambda d: d["holds"]),
+    "find-c": (["find-c", "--q", "1", "--l", "1", "--agents", "a", "--size-bound", "4"], None),
+}
+
+
+def test_contract_table_covers_every_subcommand():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert set(subparsers.choices) == set(CONTRACT_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_CASES))
+def test_json_output_contract(name, capsys):
+    argv, verdict_of = CONTRACT_CASES[name]
+    code = run([_path(a) if a.endswith(".kr") else a for a in argv] + ["--json"])
+    out = capsys.readouterr().out
+    document = json.loads(out)
+    assert out == json.dumps(document, indent=2, sort_keys=True) + "\n"
+    assert code in (0, 1)
+    expected = True if verdict_of is None else verdict_of(document)
+    assert code == (0 if expected else 1)
+
+
+@pytest.mark.parametrize(
+    "formula, code, out",
+    [("<a:3> true", 0, "true\n"), ("<a:4> true", 1, "false\n"), ("<a:0> true", 2, "")],
+)
+def test_process_exit_codes(formula, code, out):
+    package_root = os.path.dirname(os.path.dirname(gradedmodal.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "gradedmodal.cli", "mc", _path("fan3.kr"), formula],
+        env=dict(os.environ, PYTHONPATH=package_root),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (code, out)

@@ -25,6 +25,7 @@ from gradedmodal import (
     standard_translation,
     upgrade_pipeline,
 )
+from gradedmodal import folink
 from gradedmodal.folink import (
     EdgeAtom,
     Eq,
@@ -200,10 +201,11 @@ def test_fo_equivalence_sound_for_translations():
         checked += 1
 
 
-def test_fo_equivalence_budget():
+def test_fo_equivalence_budget(monkeypatch):
+    monkeypatch.setattr(folink, "BACK_AND_FORTH_BUDGET", 2)
     a, b = fan(4), fan(4)
     with pytest.raises(ResourceLimitError):
-        fo_q_equivalent(a, b, 2, max_states=2)
+        fo_q_equivalent(a, b, 2)
 
 
 def test_locality_fixtures():

@@ -16,6 +16,7 @@ from gradedmodal import (
     solve_game,
     verify_strategy,
 )
+from gradedmodal import game
 from gradedmodal.game import DUPLICATOR, SPOILER
 
 from helpers import fan, random_pair
@@ -43,9 +44,10 @@ def test_signature_mismatch():
         solve_game(fan(1), fan(1, Signature(("b",), ())), 1, 1)
 
 
-def test_budget_guard_is_not_a_verdict():
+def test_budget_guard_is_not_a_verdict(monkeypatch):
+    monkeypatch.setattr(game, "STEP_BUDGET", 3)
     with pytest.raises(ResourceLimitError):
-        solve_game(fan(4), fan(4), 3, 2, max_steps=3)
+        solve_game(fan(4), fan(4), 3, 2)
 
 
 def test_all_solved_games_verify():
