@@ -181,6 +181,26 @@ def catalog_size(sig: Signature, cap: int, depth: int) -> int:
     return count
 
 
+def _size_exceeds(sig: Signature, cap: int, depth: int, limit: int) -> bool:
+    """Whether the catalog at the bound holds more than ``limit`` types.
+
+    The size is computed as in ``catalog_size``, level by level, but only
+    while it stays near ``limit``: the exact size can have far more digits
+    than any machine holds.
+    """
+    base = 2 ** len(sig.props)
+    count = base
+    for _ in range(depth):
+        if count > limit:
+            return True
+        exponent = len(sig.agents) * count
+        # (cap + 1) ** exponent is at least 2 ** (exponent * (bits - 1)).
+        if exponent * ((cap + 1).bit_length() - 1) >= limit.bit_length():
+            return True
+        count = base * (cap + 1) ** exponent
+    return count > limit
+
+
 def enumerate_types(
     sig: Signature,
     cap: int,
@@ -190,18 +210,17 @@ def enumerate_types(
 ) -> TypeCatalog:
     """Materialize every type at the bound with a formula and a canonical model.
 
-    The catalog size is computed up front and guarded before any
-    materialization.  Canonical models realize a type as a tree with exactly
+    The catalog size is checked against ``max_entries`` up front, before
+    any materialization.  Canonical models realize a type as a tree with exactly
     n children per child type, n being the capped count.  Each level's
     descriptors are those the refinement key gives the canonical models'
     points in their disjoint union; the final ones must be pairwise distinct.
     """
     if cap < 0 or depth < 0:
         raise ValueError("cap and depth must be nonnegative")
-    size = catalog_size(sig, cap, depth)
-    if size > max_entries:
+    if _size_exceeds(sig, cap, depth, max_entries):
         raise ResourceLimitError(
-            f"catalog would hold {size} entries, above the guard of {max_entries}"
+            f"catalog would hold more than {max_entries} entries, the guard's limit"
         )
 
     atom_options = sorted(product((False, True), repeat=len(sig.props)))

@@ -10,8 +10,9 @@ game equivalence, which the game module cross-checks independently.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import SignatureError
 from .kripke import KripkeStructure, PointedStructure, disjoint_union, part_offsets
@@ -110,7 +111,7 @@ def _level_keys(m: KripkeStructure, prev: list, cap: Optional[int]) -> list:
 def _ranks(keys: list) -> tuple[int, ...]:
     """Canonical class ids: the rank of each key among the sorted distinct keys."""
     rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-    return tuple(rank[key] for key in keys)
+    return tuple(map(rank.__getitem__, keys))
 
 
 def atomic_history(
@@ -136,6 +137,118 @@ def refine(history: ColorHistory) -> ColorHistory:
     )
 
 
+class _StableBlocks:
+    """Refinement state for rounds that recompute only some keys.
+
+    Every class has a stable block id: when a class splits, one part keeps
+    its id and the other parts get fresh ids.  ``key_of[b]`` is the key the
+    members of block ``b`` had when it was last computed, over block ids.  A
+    member none of whose successors changed block since still has that key,
+    so a round recomputes only the predecessors of the worlds that moved.
+    """
+
+    __slots__ = ("block", "size", "key_of", "order", "canon", "moved")
+
+    @classmethod
+    def after(
+        cls, level: tuple[int, ...], new: tuple[int, ...], keys: list
+    ) -> Optional[_StableBlocks]:
+        """The state after a whole-level round from ``level`` to ``new``, or
+        None if that round moved most worlds.
+
+        The largest part of each class keeps the class's id in ``level``, so
+        the keys computed over ``level`` are keys over block ids.
+        """
+        part_sizes = Counter(zip(level, new))
+        largest: dict[int, tuple[int, int]] = {}
+        for (parent, child), count in part_sizes.items():
+            if count > largest.get(parent, (0, 0))[0]:
+                largest[parent] = (count, child)
+        if 2 * sum(count for count, _ in largest.values()) <= len(level):
+            return None
+        self = cls.__new__(cls)
+        self.order = [0] * len(part_sizes)  # canonical id -> block id
+        self.size = [0] * len(part_sizes)
+        fresh = len(largest)
+        for (parent, child), count in part_sizes.items():
+            if largest[parent][1] == child:
+                b = parent
+            else:
+                b, fresh = fresh, fresh + 1
+            self.order[child] = b
+            self.size[b] = count
+        self.canon = dict(zip(self.order, range(len(self.order))))  # block id -> canonical id
+        self.block = list(map(self.order.__getitem__, new))
+        self.key_of: list = [None] * len(part_sizes)
+        for b, k in zip(self.block, keys):
+            self.key_of[b] = k
+        self.moved = [w for w, b in enumerate(self.block) if b >= len(largest)]
+        return self
+
+    def round(
+        self, keys_of: Callable[[list, Iterable[int]], list], preds: list, level: tuple[int, ...]
+    ) -> tuple[int, ...]:
+        """The next level, recomputing only the predecessors of moved worlds.
+
+        ``keys_of(labels, worlds)`` gives the worlds' keys over ``labels``;
+        ``preds`` holds each agent's predecessor lists.
+
+        Unsplit classes keep their rank among ``level``'s ids; the parts of a
+        split class are ranked by their keys over ``level``'s ids, which is
+        the order ``refine`` gives them.
+        """
+        block, size, key_of = self.block, self.size, self.key_of
+        dirty: set[int] = set()
+        for pred in preds:
+            dirty.update(*map(pred.__getitem__, self.moved))
+        # Every key is computed before any world changes block.
+        touched: dict[int, dict[tuple, list[int]]] = {}
+        for w, k in zip(dirty, keys_of(block, dirty)):
+            touched.setdefault(block[w], {}).setdefault(k, []).append(w)
+        self.moved = []
+        splits: dict[int, list[tuple[tuple, int]]] = {}  # canonical id -> parts
+        for b, groups in touched.items():
+            if sum(map(len, groups.values())) < size[b]:
+                # The members not recomputed keep the id.  A recomputed key
+                # names a block made in the last round and theirs cannot, so
+                # every recomputed member leaves.
+                kept = key_of[b]
+            elif len(groups) == 1:
+                key_of[b] = next(iter(groups))
+                continue
+            else:
+                kept = key_of[b] = max(groups, key=lambda k: len(groups[k]))
+            parts = [(kept, b)]
+            for k, worlds in groups.items():
+                if k == kept:
+                    continue
+                fresh = len(size)
+                size.append(len(worlds))
+                key_of.append(k)
+                size[b] -= len(worlds)
+                for w in worlds:
+                    block[w] = fresh
+                self.moved.extend(worlds)
+                parts.append((k, fresh))
+            splits[self.canon[b]] = parts
+        if not splits:
+            return level
+        canon = self.canon
+
+        def canonical(part: tuple[tuple, int]) -> tuple:
+            return tuple(tuple(sorted((canon[b], n) for b, n in pairs)) for pairs in part[0])
+
+        order: list[int] = []
+        start = 0
+        for position in sorted(splits):
+            order += self.order[start:position]
+            order += [b for _, b in sorted(splits[position], key=canonical)]
+            start = position + 1
+        self.order = order + self.order[start:]
+        self.canon = dict(zip(self.order, range(len(self.order))))
+        return tuple(map(self.canon.__getitem__, block))
+
+
 def refine_to(
     arena: KripkeStructure,
     cap: Optional[int],
@@ -146,18 +259,55 @@ def refine_to(
 
     With ``depth=None`` refinement runs to its fixed point: the history ends
     at the first level that repeats its predecessor.
+
+    The result equals that many ``refine`` steps, level for level.  A round
+    after one that moved most worlds recomputes every key, as ``refine``
+    does; any other round recomputes only the keys of worlds with a
+    successor that changed class (see ``_StableBlocks``).
     """
-    history = atomic_history(arena, cap, offsets)
-    if depth is not None:
-        for _ in range(depth):
-            history = refine(history)
-        return history
-    for _ in range(arena.world_count):
-        history = refine(history)
-        if history.is_stable():
-            return history
-    # |arena| strict refinements of a |arena|-element set are impossible.
-    raise AssertionError("refinement failed to stabilize")
+    level = atomic_history(arena, cap, offsets).levels[0]
+    levels = [level]
+    n = arena.world_count
+    # Cap 0 drops every count, so no key then depends on the successors.
+    succs = [arena._succ[agent] for agent in arena.signature.agents] if cap != 0 else []
+
+    def keys_of(labels, worlds: Iterable[int]) -> list[tuple]:
+        """Per world, per agent, the sorted (label, capped count) pairs of
+        its successors' labels."""
+        keys = []
+        for world in worlds:
+            parts = []
+            for succ in succs:
+                counts: dict[int, int] = {}
+                for v in succ[world]:
+                    label = labels[v]
+                    counts[label] = counts.get(label, 0) + 1
+                if cap is None:
+                    parts.append(tuple(sorted(counts.items())))
+                else:
+                    capped = [(label, k if k < cap else cap) for label, k in counts.items()]
+                    parts.append(tuple(sorted(capped)))
+            keys.append(tuple(parts))
+        return keys
+
+    blocks: Optional[_StableBlocks] = None
+    while depth is None or len(levels) <= depth:
+        if blocks is None:
+            keys = keys_of(level, range(n))
+            new = _ranks(list(zip(level, keys)))
+            if new != level and (depth is None or len(levels) < depth):
+                blocks = _StableBlocks.after(level, new, keys)
+        else:
+            new = blocks.round(keys_of, list(arena._predecessors().values()), level)
+            if 2 * len(blocks.moved) >= n:
+                blocks = None
+        if new == level:
+            # A stable partition stays stable: the remaining levels repeat.
+            levels.extend([level] * (1 if depth is None else depth + 1 - len(levels)))
+            break
+        levels.append(new)
+        level = new
+    return ColorHistory(arena, cap, offsets, tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -224,25 +374,46 @@ def full_graded_bisimilarity(a: PointedStructure, b: PointedStructure) -> Equiva
 
 
 def _max_matching(
-    left: tuple[int, ...], right: tuple[int, ...], allowed: frozenset[tuple[int, int]]
+    left: tuple[int, ...], right: tuple[int, ...], partners: dict[int, set[int]]
 ) -> dict[int, int]:
-    """Maximum bipartite matching (Kuhn's augmenting paths); right -> left."""
+    """Maximum bipartite matching (Kuhn's augmenting paths); right -> left.
+
+    ``partners[x]`` holds the right worlds left world ``x`` may match.  Each
+    left world in turn starts a depth-first search for an augmenting path
+    that tries right worlds in ``right`` order; the search keeps an explicit
+    stack, so long paths cannot exhaust the recursion limit.
+    """
     right_index = {v: j for j, v in enumerate(right)}
+    adjacency = [
+        sorted(right_index[y] for y in partners.get(x, ()) if y in right_index) for x in left
+    ]
     match: list[Optional[int]] = [None] * len(right)
-
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in right:
-            j = right_index[v]
-            if (u, v) in allowed and not seen[j]:
+    for root in range(len(left)):
+        seen = [False] * len(right)
+        path = [root]  # left indices along the current alternating path
+        via: list[int] = []  # via[k]: the right index joining path[k] to path[k + 1]
+        frontier = [iter(adjacency[root])]
+        while frontier:
+            for j in frontier[-1]:
+                if seen[j]:
+                    continue
                 seen[j] = True
-                if match[j] is None or augment(match[j], seen):
-                    match[j] = u
-                    return True
-        return False
-
-    for u in left:
-        augment(u, [False] * len(right))
-    return {right[j]: u for j, u in enumerate(match) if u is not None}
+                if match[j] is None:
+                    # Augment: shift every matched pair on the path by one.
+                    for k, u in enumerate(path):
+                        match[via[k] if k < len(via) else j] = u
+                    frontier = []
+                else:
+                    path.append(match[j])
+                    via.append(j)
+                    frontier.append(iter(adjacency[match[j]]))
+                break
+            else:
+                frontier.pop()
+                path.pop()
+                if via:
+                    via.pop()
+    return {right[j]: left[u] for j, u in enumerate(match) if u is not None}
 
 
 @dataclass(frozen=True)
@@ -286,7 +457,9 @@ def relation_is_graded_bisimulation(
             raise ValueError(f"left world {u} out of range")
         if not 0 <= v < b.world_count:
             raise ValueError(f"right world {v} out of range")
-    related = frozenset(pairs)
+    partners: dict[int, set[int]] = {}
+    for u, v in pairs:
+        partners.setdefault(u, set()).add(v)
     for u, v in pairs:
         for prop in a.signature.props:
             if (u in a.valuation[prop]) != (v in b.valuation[prop]):
@@ -295,10 +468,7 @@ def relation_is_graded_bisimulation(
         for agent in a.signature.agents:
             left = a.successors(agent, u)
             right = b.successors(agent, v)
-            allowed = frozenset(
-                (x, y) for x in left for y in right if (x, y) in related
-            )
-            matching = _max_matching(left, right, allowed)
+            matching = _max_matching(left, right, partners)
             if len(matching) < len(left):
                 matched_left = set(matching.values())
                 missing = min(x for x in left if x not in matched_left)

@@ -4,7 +4,9 @@ Worlds are dense integer indices 0..n-1 per structure.  Combinators relabel
 deterministically (parts in list order; in unravellings the tree part comes
 before the continuation copy), so outputs are reproducible bit for bit.
 All values are immutable after construction and every operation is a pure
-function, so any value may be shared across threads.
+function, so any value may be shared across threads.  Derived arrays
+(predecessors, adjacency) are cached on first use; a race at worst builds
+one twice, with equal results.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ class KripkeStructure:
     standalone structures have at least one world.
     """
 
-    __slots__ = ("signature", "world_count", "edges", "valuation", "_succ", "_hash")
+    __slots__ = (
+        "signature", "world_count", "edges", "valuation", "_succ", "_pred", "_adj", "_hash"
+    )
 
     def __init__(
         self,
@@ -78,17 +82,36 @@ class KripkeStructure:
                 if not 0 <= w < world_count:
                     raise ValueError(f"world {w} in valuation of {prop!r} out of range")
             norm_val[prop] = worlds
-        self.signature = signature
-        self.world_count = world_count
-        self.edges = MappingProxyType(norm_edges)
-        self.valuation = MappingProxyType(norm_val)
         succ: dict[str, tuple[tuple[int, ...], ...]] = {}
         for agent in signature.agents:
             per_world: list[list[int]] = [[] for _ in range(world_count)]
             for u, v in norm_edges[agent]:
                 per_world[u].append(v)
             succ[agent] = tuple(tuple(sorted(vs)) for vs in per_world)
+        self._fill(signature, world_count, norm_edges, norm_val, succ)
+
+    @classmethod
+    def _assemble(
+        cls,
+        signature: Signature,
+        world_count: int,
+        edges: dict[str, frozenset[tuple[int, int]]],
+        valuation: dict[str, frozenset[int]],
+        succ: dict[str, tuple[tuple[int, ...], ...]],
+    ) -> KripkeStructure:
+        """A structure from parts that are already validated and normalised."""
+        m = cls.__new__(cls)
+        m._fill(signature, world_count, edges, valuation, succ)
+        return m
+
+    def _fill(self, signature, world_count, edges, valuation, succ) -> None:
+        self.signature = signature
+        self.world_count = world_count
+        self.edges = MappingProxyType(edges)
+        self.valuation = MappingProxyType(valuation)
         self._succ = succ
+        self._pred = None
+        self._adj = None
         self._hash = None
 
     def worlds(self) -> range:
@@ -101,6 +124,29 @@ class KripkeStructure:
         if not 0 <= world < self.world_count:
             raise ValueError(f"world {world} out of range")
         return self._succ[agent][world]
+
+    def _predecessors(self) -> dict[str, tuple[tuple[int, ...], ...]]:
+        """Per agent, the sorted predecessors of every world, built on first use."""
+        if self._pred is None:
+            pred: dict[str, tuple[tuple[int, ...], ...]] = {}
+            for agent, succ in self._succ.items():
+                per_world: list[list[int]] = [[] for _ in range(self.world_count)]
+                for u, vs in enumerate(succ):
+                    for v in vs:
+                        per_world[v].append(u)
+                pred[agent] = tuple(map(tuple, per_world))
+            self._pred = pred
+        return self._pred
+
+    def _neighbors(self) -> tuple[frozenset[int], ...]:
+        """Per world, its successors and predecessors along every agent,
+        built on first use."""
+        if self._adj is None:
+            arrays = list(self._succ.values()) + list(self._predecessors().values())
+            self._adj = tuple(
+                frozenset().union(*(array[w] for array in arrays)) for w in self.worlds()
+            )
+        return self._adj
 
     def props_of(self, world: int) -> tuple[str, ...]:
         return tuple(p for p in self.signature.props if world in self.valuation[p])
@@ -172,14 +218,28 @@ def disjoint_union(
     total = offsets[-1] + parts[-1].world_count
     if total == 0:
         raise ValueError("disjoint union of empty aggregates is empty")
-    edges: dict[str, set[tuple[int, int]]] = {a: set() for a in sig.agents}
-    valuation: dict[str, set[int]] = {p: set() for p in sig.props}
+    # The parts are validated already, so their data is shifted, not rebuilt;
+    # the first part's is shared as it is.
+    edges: dict[str, list] = {a: [] for a in sig.agents}
+    succ: dict[str, list] = {a: [] for a in sig.agents}
+    valuation: dict[str, list] = {p: [] for p in sig.props}
     for m, off in zip(parts, offsets):
         for a in sig.agents:
-            edges[a].update((u + off, v + off) for u, v in m.edges[a])
+            if off:
+                edges[a].append([(u + off, v + off) for u, v in m.edges[a]])
+                succ[a].extend(tuple([v + off for v in vs]) for vs in m._succ[a])
+            else:
+                edges[a].append(m.edges[a])
+                succ[a].extend(m._succ[a])
         for p in sig.props:
-            valuation[p].update(w + off for w in m.valuation[p])
-    result = KripkeStructure(sig, total, edges, valuation)
+            valuation[p].append([w + off for w in m.valuation[p]] if off else m.valuation[p])
+    result = KripkeStructure._assemble(
+        sig,
+        total,
+        {a: frozenset().union(*pieces) for a, pieces in edges.items()},
+        {p: frozenset().union(*pieces) for p, pieces in valuation.items()},
+        {a: tuple(arrays) for a, arrays in succ.items()},
+    )
     if point_from is None:
         return result
     part, world = point_from
@@ -210,15 +270,6 @@ def copies(m: KripkeStructure, count: int) -> KripkeStructure:
     return disjoint_union([m] * count)  # type: ignore[return-value]
 
 
-def _symmetric_adjacency(m: KripkeStructure):
-    adj: dict[int, set[int]] = {}
-    for pairs in m.edges.values():
-        for u, v in pairs:
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-    return adj
-
-
 def neighborhood(m: KripkeStructure, world: int, radius: int) -> frozenset[int]:
     """Worlds at undirected distance <= radius from ``world``.
 
@@ -229,13 +280,13 @@ def neighborhood(m: KripkeStructure, world: int, radius: int) -> frozenset[int]:
         raise ValueError(f"world {world} out of range")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    adj = _symmetric_adjacency(m)
+    adj = m._neighbors()
     seen = {world}
     frontier = [world]
     for _ in range(radius):
         nxt = []
         for u in frontier:
-            for v in adj.get(u, ()):
+            for v in adj[u]:
                 if v not in seen:
                     seen.add(v)
                     nxt.append(v)
@@ -258,18 +309,17 @@ def restrict(
         if not 0 <= w < m.world_count:
             raise ValueError(f"world {w} out of range")
     relabel = {w: i for i, w in enumerate(keep)}
-    kept = set(keep)
     edges = {
-        a: {(relabel[u], relabel[v]) for u, v in m.edges[a] if u in kept and v in kept}
-        for a in m.signature.agents
+        a: {(relabel[u], relabel[v]) for u in keep for v in succ[u] if v in relabel}
+        for a, succ in m._succ.items()
     }
     valuation = {
-        p: {relabel[w] for w in m.valuation[p] if w in kept} for p in m.signature.props
+        p: {relabel[w] for w in keep if w in holds} for p, holds in m.valuation.items()
     }
     result = KripkeStructure(m.signature, len(keep), edges, valuation)
     if point is None:
         return result
-    if point not in kept:
+    if point not in relabel:
         raise ValueError(f"point {point} not in the restricted world set")
     return PointedStructure(result, relabel[point])
 

@@ -29,7 +29,7 @@ from gradedmodal import (
     satisfies,
     type_descriptor,
 )
-from gradedmodal.charform import _conjuncts, inferred_signature
+from gradedmodal.charform import _conjuncts, _size_exceeds, inferred_signature
 from gradedmodal.syntax import and_all
 
 from helpers import (
@@ -169,8 +169,21 @@ def test_catalog_mode_consistent_with_entries():
 
 
 def test_catalog_guard():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="more than 5000 entries"):
         enumerate_types(SIG_AP, 2, 2)
+
+
+def test_catalog_guard_agrees_with_exact_size():
+    for agents in ((), ("a",), ("a", "b")):
+        for props in ((), ("p",), ("p", "q")):
+            sig = Signature(agents, props)
+            for cap in range(4):
+                for depth in range(4):
+                    if depth == 3 and agents and cap and (len(agents), props, cap) != (1, (), 1):
+                        continue  # the exact size has more digits than a test should hold
+                    size = catalog_size(sig, cap, depth)
+                    for limit in (0, 1, 3, 4, 16, 5000, size - 1, size, size + 1):
+                        assert _size_exceeds(sig, cap, depth, limit) == (size > limit)
 
 
 def test_every_structure_matches_exactly_one_type():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -88,6 +89,16 @@ def test_types_guard_exit_code(capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "guard" in err
+
+
+def test_nf_guard_refuses_a_huge_catalog_at_once(capsys):
+    # At level 3 this catalog has 4 * 4 ** (4 * 4 ** 1024) types: the guard
+    # must not evaluate that number.
+    start = time.perf_counter()
+    code = run(["nf", "<a:1> p", "--c", "3", "--l", "3", "--agents", "a", "--props", "p,q"])
+    assert code == 3
+    assert time.perf_counter() - start < 1.0
+    assert "more than 5000 entries" in capsys.readouterr().err
 
 
 def test_types_listing(capsys):

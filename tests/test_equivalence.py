@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedmodal import (
     KripkeStructure,
@@ -17,6 +19,7 @@ from gradedmodal import (
     solve_game,
     type_descriptor,
 )
+from gradedmodal.equivalence import RelationViolation, _max_matching
 from gradedmodal.kripke import disjoint_union, part_offsets
 
 from helpers import SIG_A, chain, fan, loop1, random_pair, random_signature, random_structure
@@ -273,3 +276,132 @@ def test_history_serialization():
     assert flattened == list(range(7))
     exact = full_graded_bisimilarity(fan(2), fan(2)).history.to_json_dict()
     assert exact["cap"] == "exact"
+
+
+@st.composite
+def _arenas(draw):
+    """One- or two-part arenas: small random structures, unions with junk,
+    sparse random graphs, and chains and cycles marked at one world."""
+    sig = Signature(("a", "b")[: draw(st.integers(1, 2))], ("p", "q")[: draw(st.integers(0, 2))])
+
+    def random_part(max_worlds):
+        n = draw(st.integers(1, max_worlds))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges = {a: draw(st.sets(pairs, max_size=3 * n)) for a in sig.agents}
+        valuation = {p: draw(st.sets(st.integers(0, n - 1))) for p in sig.props}
+        return KripkeStructure(sig, n, edges, valuation)
+
+    def part():
+        kind = draw(st.sampled_from(["random", "junk", "sparse", "chain", "cycle"]))
+        if kind == "random":
+            return random_part(8)
+        if kind == "junk":
+            return disjoint_union([random_part(6), random_part(6)])
+        if kind == "sparse":
+            n = draw(st.integers(1, 40))
+            targets = st.lists(st.integers(0, n - 1), max_size=2)
+            edges = {a: {(u, v) for u in range(n) for v in draw(targets)} for a in sig.agents}
+            return KripkeStructure(sig, n, edges, {p: {0} for p in sig.props[:1]})
+        n = draw(st.integers(1, 40))
+        line = {(i, i + 1) for i in range(n - 1)} | ({(n - 1, 0)} if kind == "cycle" else set())
+        mark = {p: {draw(st.integers(0, n - 1))} for p in sig.props[:1]}
+        return KripkeStructure(sig, n, {draw(st.sampled_from(sig.agents)): line}, mark)
+
+    parts = [part() for _ in range(draw(st.integers(1, 2)))]
+    return disjoint_union(parts), part_offsets(parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_arenas(), st.sampled_from([None, 0, 1, 2, 3]))
+def test_kernel_matches_hand_loop_at_every_level(arena_offsets, cap):
+    arena, offsets = arena_offsets
+    history = atomic_history(arena, cap, offsets)
+    for depth in range(5):
+        assert refine_to(arena, cap, offsets, depth) == history
+        history = refine(history)
+    fixpoint = atomic_history(arena, cap, offsets)
+    while not fixpoint.is_stable():
+        fixpoint = refine(fixpoint)
+    assert refine_to(arena, cap, offsets) == fixpoint
+
+
+def test_kernel_matches_hand_loop_on_sparse_graphs():
+    # Sparse graphs keep most worlds clean from round to round, so nearly
+    # every round after the first is incremental.
+    rng = random.Random(1)
+    for _ in range(60):
+        sig = Signature(("a", "b")[: rng.randint(1, 2)], ("p",)[: rng.randint(0, 1)])
+        n = rng.randint(4, 60)
+        degree = rng.choice([1, 1, 2, 3])
+        edges = {
+            a: {(u, rng.randrange(n)) for u in range(n) for _ in range(rng.randint(0, degree))}
+            for a in sig.agents
+        }
+        valuation = {p: {w for w in range(n) if rng.random() < 0.1} for p in sig.props}
+        arena = KripkeStructure(sig, n, edges, valuation)
+        for cap in (None, 1, 2):
+            fixpoint = atomic_history(arena, cap)
+            while not fixpoint.is_stable():
+                fixpoint = refine(fixpoint)
+            assert refine_to(arena, cap) == fixpoint
+
+
+def _marked_chain(n: int) -> KripkeStructure:
+    """Worlds 0 -> 1 -> ... -> n-1 along 'a', with p true at world n-1 only."""
+    sig = Signature(("a",), ("p",))
+    return KripkeStructure(sig, n, {"a": {(i, i + 1) for i in range(n - 1)}}, {"p": {n - 1}})
+
+
+def test_long_marked_chain_takes_one_round_per_world():
+    # World i is n-1-i steps from the mark, so each round splits off one distance.
+    m, longer = _marked_chain(1000), _marked_chain(1001)
+    result = full_graded_bisimilarity(PointedStructure(m, 0), PointedStructure(m, 0))
+    assert result.equivalent and result.history.rounds == 999
+    assert len(set(result.history.levels[-1])) == 1000
+    assert not full_graded_bisimilarity(PointedStructure(m, 0), PointedStructure(longer, 0))
+    assert full_graded_bisimilarity(PointedStructure(m, 0), PointedStructure(longer, 1))
+    assert full_graded_bisimilarity(PointedStructure(m, 500), PointedStructure(longer, 501))
+    assert not full_graded_bisimilarity(PointedStructure(m, 500), PointedStructure(longer, 500))
+
+
+def _recursive_kuhn(left, right, allowed):
+    """The former ``_max_matching``: recursive, scanning all of ``right``."""
+    match = [None] * len(right)
+
+    def augment(u, seen):
+        for j, v in enumerate(right):
+            if (u, v) in allowed and not seen[j]:
+                seen[j] = True
+                if match[j] is None or augment(match[j], seen):
+                    match[j] = u
+                    return True
+        return False
+
+    for u in left:
+        augment(u, [False] * len(right))
+    return {right[j]: u for j, u in enumerate(match) if u is not None}
+
+
+def test_matching_agrees_with_recursive_kuhn():
+    rng = random.Random(23)
+    for _ in range(300):
+        left = tuple(sorted(rng.sample(range(12), rng.randint(0, 8))))
+        right = tuple(sorted(rng.sample(range(12), rng.randint(0, 8))))
+        related = {(x, y) for x in range(12) for y in range(12) if rng.random() < 0.3}
+        partners = {}
+        for x, y in related:
+            partners.setdefault(x, set()).add(y)
+        allowed = frozenset((x, y) for x in left for y in right if (x, y) in related)
+        assert _max_matching(left, right, partners) == _recursive_kuhn(left, right, allowed)
+
+
+def test_matching_follows_long_augmenting_paths():
+    # Successor i of the root is related to i-1 and i, so every new left
+    # successor first retraces the whole staircase before it finds a partner.
+    k = 1200
+    m = KripkeStructure(SIG_A, k + 1, {"a": {(0, i) for i in range(1, k + 1)}})
+    relation = {(0, 0), (1, 1)} | {(i, j) for i in range(2, k + 1) for j in (i - 1, i)}
+    assert relation_is_graded_bisimulation(relation, m, m)
+    broken = relation - {(k, k)} - {(k, k - 1)}
+    check = relation_is_graded_bisimulation(broken, m, m)
+    assert check.violation == RelationViolation("forth", (0, 0), "a", k)

@@ -295,3 +295,73 @@ def test_text_format_errors_carry_line_numbers():
 def test_part_offsets():
     parts = [fan(2).structure, fan(3).structure, loop1().structure]
     assert part_offsets(parts) == (0, 3, 7)
+
+
+def test_disjoint_union_equals_validated_construction():
+    rng = random.Random(29)
+    for _ in range(40):
+        sig = random_signature(rng)
+        parts = [random_structure(rng, sig).structure for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            parts.insert(rng.randrange(len(parts) + 1), copies(parts[0], 0))
+        offsets = part_offsets(parts)
+        total = sum(m.world_count for m in parts)
+        edges = {
+            a: {(u + off, v + off) for m, off in zip(parts, offsets) for u, v in m.edges[a]}
+            for a in sig.agents
+        }
+        valuation = {
+            p: {w + off for m, off in zip(parts, offsets) for w in m.valuation[p]}
+            for p in sig.props
+        }
+        expected = KripkeStructure(sig, total, edges, valuation)
+        union = disjoint_union(parts)
+        assert dict(union.edges) == dict(expected.edges)
+        assert dict(union.valuation) == dict(expected.valuation)
+        assert all(type(pairs) is frozenset for pairs in union.edges.values())
+        assert all(type(worlds) is frozenset for worlds in union.valuation.values())
+        for agent in sig.agents:
+            for w in range(total):
+                assert union.successors(agent, w) == expected.successors(agent, w)
+        assert union._predecessors() == expected._predecessors()
+        assert union == expected and hash(union) == hash(expected)
+
+
+def _neighborhood_by_edge_walk(m, world, radius):
+    """The former ``neighborhood``: rebuilds the adjacency from every edge."""
+    adj = {}
+    for pairs in m.edges.values():
+        for u, v in pairs:
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+    seen = {world}
+    frontier = [world]
+    for _ in range(radius):
+        frontier = [v for u in frontier for v in adj.get(u, ()) if v not in seen]
+        seen.update(frontier)
+    return frozenset(seen)
+
+
+def _restrict_by_edge_walk(m, worlds, point):
+    """The former ``restrict``: filters every edge of the structure."""
+    keep = sorted(set(worlds))
+    relabel = {w: i for i, w in enumerate(keep)}
+    edges = {
+        a: {(relabel[u], relabel[v]) for u, v in m.edges[a] if u in relabel and v in relabel}
+        for a in m.signature.agents
+    }
+    valuation = {p: {relabel[w] for w in m.valuation[p] if w in relabel} for p in m.signature.props}
+    return PointedStructure(KripkeStructure(m.signature, len(keep), edges, valuation), relabel[point])
+
+
+def test_neighborhood_and_restrict_match_edge_walks():
+    rng = random.Random(31)
+    for _ in range(40):
+        m = random_structure(rng, random_signature(rng), max_worlds=10).structure
+        for w in m.worlds():
+            for radius in range(4):
+                hood = neighborhood(m, w, radius)
+                assert hood == _neighborhood_by_edge_walk(m, w, radius)
+                assert dump_structure(restrict(m, hood, point=w)) == dump_structure(
+                    _restrict_by_edge_walk(m, hood, w)
+                )
