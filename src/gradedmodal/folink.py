@@ -12,8 +12,8 @@ FO concrete syntax (printable and re-parsable)::
          | IDENT "(" VAR ")"                       -- proposition atom
          | "E"AGENT "(" VAR "," VAR ")"            -- edge atom, e.g. Ea(x,y1)
 
-Evaluation is naive recursion with environment passing; all uses are guarded
-to desk scale.
+Evaluation recurses with environment passing; a quantifier whose matrix
+carries an edge atom to its variable ranges over successors only.
 """
 
 from __future__ import annotations
@@ -188,52 +188,154 @@ def standard_translation(formula: Formula, var: str = "x") -> FOFormula:
     return st(formula, var)
 
 
+def _check_fo_input(m: KripkeStructure, assigned, formula: FOFormula) -> None:
+    """Raise for the first unknown symbol, unassigned free variable or non-FO
+    node, left to right, before anything is evaluated."""
+    props, agents = m.signature.props, m.signature.agents
+    stack = [(formula, frozenset())]
+    while stack:
+        f, bound = stack.pop()
+        if isinstance(f, (FOAnd, FOOr)):
+            stack.append((f.right, bound))
+            stack.append((f.left, bound))
+            continue
+        if isinstance(f, FONot):
+            stack.append((f.child, bound))
+            continue
+        if isinstance(f, (Exists, Forall)):
+            stack.append((f.child, bound | {f.var}))
+            continue
+        if isinstance(f, PropAtom):
+            if f.prop not in props:
+                raise SignatureError(f"unknown proposition {f.prop!r}")
+            used = (f.var,)
+        elif isinstance(f, Eq):
+            used = (f.left, f.right)
+        elif isinstance(f, EdgeAtom):
+            if f.agent not in agents:
+                raise SignatureError(f"unknown agent {f.agent!r}")
+            used = (f.src, f.dst)
+        else:
+            raise TypeError(f"not an FO formula: {f!r}")
+        for var in used:
+            if var not in bound and var not in assigned:
+                raise EvaluationError(f"unassigned free variable {var!r}")
+
+
+def _block_plan(node: FOFormula) -> tuple:
+    """How ``fo_eval`` searches the quantifier block that starts at ``node``.
+
+    The block is the run of quantifiers of ``node``'s kind with distinct
+    variables; its parts are the top-level conjuncts of the matrix under
+    ``Exists`` and its disjuncts under ``Forall``.  A witness makes every
+    part true under ``Exists``, and a counterexample makes every part false
+    under ``Forall``, so ``want`` is the value each part must take.
+
+    Returns ``(want, first, steps)``, where ``first`` holds the parts
+    without a block variable.  Each step binds one block variable, in
+    quantifier order, as ``(var, guard, checks)``: ``guard`` is ``(agent,
+    z)`` when the part ``Ea(z, var)`` (``!Ea(z, var)`` under ``Forall``)
+    lets ``var`` range over the successors of ``z``, which holds when ``z``
+    is not bound at or after ``var`` in the block; that part then holds by
+    construction and is dropped.  ``checks`` are the parts whose last block
+    variable is ``var``.
+    """
+    kind = type(node)
+    want = isinstance(node, Exists)
+    variables: list[str] = []
+    f = node
+    while type(f) is kind and f.var not in variables:
+        variables.append(f.var)
+        f = f.child
+    connective = FOAnd if want else FOOr
+    parts = []
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        if type(f) is connective:
+            stack.append(f.right)
+            stack.append(f.left)
+        else:
+            parts.append(f)
+    position = {var: i for i, var in enumerate(variables)}
+    guards: list = [None] * len(variables)
+    checks: list[list[FOFormula]] = [[] for _ in range(len(variables) + 1)]
+    for part in parts:
+        edge = part if want else part.child if type(part) is FONot else None
+        if type(edge) is EdgeAtom and edge.dst in position:
+            i = position[edge.dst]
+            if guards[i] is None and position.get(edge.src, -1) < i:
+                guards[i] = (edge.agent, edge.src)
+                continue
+        last = max((position[v] for v in free_vars(part) if v in position), default=-1)
+        checks[last + 1].append(part)
+    steps = tuple(
+        (var, guards[i], tuple(checks[i + 1])) for i, var in enumerate(variables)
+    )
+    return want, tuple(checks[0]), steps
+
+
 def fo_eval(m: KripkeStructure, assignment: Mapping[str, int], formula: FOFormula) -> bool:
-    """Tarskian evaluation; quantifiers range over all worlds."""
+    """Tarskian evaluation; guarded quantifiers range over successors.
+
+    Every proposition and agent is checked against the signature, and every
+    free variable against the assignment, before evaluation starts, so
+    errors do not depend on the data.  Quantifiers are evaluated a block at
+    a time (``_block_plan``): within a run of ``Exists`` over a conjunction,
+    a variable ``y`` with a conjunct ``Ea(z, y)`` ranges over the
+    ``a``-successors of ``z`` instead of every world, and each conjunct is
+    checked as soon as its last block variable is bound.  ``Forall`` is
+    the dual, over a disjunction guarded by ``!Ea(z, y)``.  This is sound
+    for every FO formula.
+    """
     env = dict(assignment)
     for var, world in env.items():
         if not 0 <= world < m.world_count:
             raise EvaluationError(f"assignment {var}={world} out of range")
-
-    def lookup(var: str) -> int:
-        try:
-            return env[var]
-        except KeyError:
-            raise EvaluationError(f"unassigned free variable {var!r}") from None
+    _check_fo_input(m, env, formula)
+    edges, valuation = m.edges, m.valuation
+    everywhere = m.worlds()
+    # Keyed by id(node): a dataclass hash would walk the whole subtree.
+    plans: dict[int, tuple] = {}
 
     def ev(f: FOFormula) -> bool:
         if isinstance(f, PropAtom):
-            if f.prop not in m.signature.props:
-                raise SignatureError(f"unknown proposition {f.prop!r}")
-            return lookup(f.var) in m.valuation[f.prop]
-        if isinstance(f, EdgeAtom):
-            if f.agent not in m.signature.agents:
-                raise SignatureError(f"unknown agent {f.agent!r}")
-            return (lookup(f.src), lookup(f.dst)) in m.edges[f.agent]
-        if isinstance(f, Eq):
-            return lookup(f.left) == lookup(f.right)
+            return env[f.var] in valuation[f.prop]
         if isinstance(f, FONot):
             return not ev(f.child)
+        if isinstance(f, Eq):
+            return env[f.left] == env[f.right]
+        if isinstance(f, EdgeAtom):
+            return (env[f.src], env[f.dst]) in edges[f.agent]
         if isinstance(f, FOAnd):
             return ev(f.left) and ev(f.right)
         if isinstance(f, FOOr):
             return ev(f.left) or ev(f.right)
-        if isinstance(f, (Exists, Forall)):
-            had = f.var in env
-            old = env.get(f.var)
-            hit = False
-            want = isinstance(f, Exists)
-            for w in m.worlds():
-                env[f.var] = w
-                if ev(f.child) == want:
-                    hit = True
-                    break
-            if had:
-                env[f.var] = old
-            else:
-                env.pop(f.var, None)
-            return hit if want else not hit
-        raise TypeError(f"not an FO formula: {f!r}")
+        plan = plans.get(id(f))
+        if plan is None:
+            plan = plans[id(f)] = _block_plan(f)
+        want, first, steps = plan
+        found = all(ev(part) == want for part in first)
+        if found:
+            saved = [(var, env.get(var)) for var, _, _ in steps]
+            found = search(steps, 0, want)
+            for var, old in saved:
+                if old is None:
+                    env.pop(var, None)
+                else:
+                    env[var] = old
+        return found if want else not found
+
+    def search(steps: tuple, i: int, want: bool) -> bool:
+        if i == len(steps):
+            return True
+        var, guard, checks = steps[i]
+        worlds = everywhere if guard is None else m.successors(guard[0], env[guard[1]])
+        for w in worlds:
+            env[var] = w
+            if all(ev(part) == want for part in checks) and search(steps, i + 1, want):
+                return True
+        return False
 
     return ev(formula)
 
@@ -251,8 +353,9 @@ def fo_q_equivalent(
 
     Positions extend the initial one-pebble tuples; the base case compares
     the full atomic diagram of the assigned tuples (propositions, edge atoms
-    in both directions including self-loops, and equalities).  Exponential in
-    q, hence guarded.
+    in both directions including self-loops, and equalities).  A position
+    extends one that already passed, so only its new pair is compared with
+    the tuple.  Exponential in q, hence guarded.
     """
     if a.signature != b.signature:
         raise SignatureError("the two structures carry different signatures")
@@ -262,21 +365,19 @@ def fo_q_equivalent(
     budget = [BACK_AND_FORTH_BUDGET]
     memo: dict = {}
 
-    def partial_isomorphism(av: tuple[int, ...], bv: tuple[int, ...]) -> bool:
-        n = len(av)
-        for i in range(n):
-            for p in ka.signature.props:
-                if (av[i] in ka.valuation[p]) != (bv[i] in kb.valuation[p]):
+    def new_pair_agrees(av: tuple[int, ...], bv: tuple[int, ...]) -> bool:
+        """Whether the last pair matches in atoms, and in equalities and edges
+        in both directions with every pair, itself included."""
+        x, y = av[-1], bv[-1]
+        for p in ka.signature.props:
+            if (x in ka.valuation[p]) != (y in kb.valuation[p]):
+                return False
+        for agent in ka.signature.agents:
+            ea, eb = ka.edges[agent], kb.edges[agent]
+            for xi, yi in zip(av, bv):
+                if ((x, xi) in ea) != ((y, yi) in eb) or ((xi, x) in ea) != ((yi, y) in eb):
                     return False
-            for j in range(n):
-                if (av[i] == av[j]) != (bv[i] == bv[j]):
-                    return False
-                for agent in ka.signature.agents:
-                    if ((av[i], av[j]) in ka.edges[agent]) != (
-                        (bv[i], bv[j]) in kb.edges[agent]
-                    ):
-                        return False
-        return True
+        return all((x == xi) == (y == yi) for xi, yi in zip(av, bv))
 
     def play(av: tuple[int, ...], bv: tuple[int, ...], rounds: int) -> bool:
         key = (av, bv, rounds)
@@ -286,7 +387,8 @@ def fo_q_equivalent(
         budget[0] -= 1
         if budget[0] < 0:
             raise ResourceLimitError("back-and-forth search exceeded its budget")
-        if not partial_isomorphism(av, bv):
+        # Every extended tuple comes from a prefix already checked.
+        if not new_pair_agrees(av, bv):
             memo[key] = False
             return False
         if rounds == 0:

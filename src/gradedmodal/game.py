@@ -142,20 +142,47 @@ class _Budget:
             raise ResourceLimitError("game solving exceeded its step budget")
 
 
-def _atom_masks(a: KripkeStructure, b: KripkeStructure) -> list[int]:
-    """Per left world, the mask of the right worlds with the same atoms."""
+def _within(m: KripkeStructure, point: int, depth: int) -> list[list[int]]:
+    """``layers[d]`` lists the worlds at most d steps from ``point``, for d up
+    to ``depth``; a step follows any agent's relation."""
+    seen = {point}
+    frontier = [point]
+    layers = [[point]]
+    for _ in range(depth):
+        ring = []
+        for u in frontier:
+            for agent in m.signature.agents:
+                for v in m.successors(agent, u):
+                    if v not in seen:
+                        seen.add(v)
+                        ring.append(v)
+        frontier = ring
+        layers.append(layers[-1] + ring)
+    return layers
+
+
+def _atom_masks(a: KripkeStructure, b: KripkeStructure, left, right) -> list[int]:
+    """Per left world in ``left``, the mask of the worlds in ``right`` with
+    the same atoms; the other rows are 0."""
     same: dict[tuple[str, ...], int] = {}
-    for w in b.worlds():
+    for w in right:
         atoms = b.props_of(w)
         same[atoms] = same.get(atoms, 0) | 1 << w
-    return [same.get(a.props_of(u), 0) for u in a.worlds()]
+    masks = [0] * a.world_count
+    for u in left:
+        masks[u] = same.get(a.props_of(u), 0)
+    return masks
 
 
-def _successor_masks(m: KripkeStructure) -> dict[str, list[int]]:
-    return {
-        agent: [sum(1 << v for v in m.successors(agent, w)) for w in m.worlds()]
-        for agent in m.signature.agents
-    }
+def _successor_masks(m: KripkeStructure, worlds) -> dict[str, list[int]]:
+    """Per agent, the successor mask of every world in ``worlds``; 0 elsewhere."""
+    masks = {}
+    for agent in m.signature.agents:
+        row = [0] * m.world_count
+        for w in worlds:
+            row[w] = sum(1 << v for v in m.successors(agent, w))
+        masks[agent] = row
+    return masks
 
 
 def _spoiler_sets(successors: tuple[int, ...], cap: int):
@@ -194,6 +221,15 @@ def solve_game(
     when at least ``|s|`` opposite successors each continue into a
     duplicator-won position against some member of ``s`` (any such set is a
     valid response, since only covered worlds enter it).
+
+    A position with m rounds left lies rounds - m moves from the start, and
+    a move steps one edge on each side.  So the table with m rounds left is
+    computed only for pairs whose left world is within rounds - m steps of
+    ``a.point`` and whose right world is within rounds - m steps of
+    ``b.point``, along any agent.  Those entries read only entries of the
+    same kind one round down, and strategy extraction reads no others, so
+    the result is that of the whole table, and ``STEP_BUDGET`` counts only
+    the positions reachable within the remaining rounds.
     """
     if a.signature != b.signature:
         raise SignatureError("the two structures carry different signatures")
@@ -204,30 +240,35 @@ def solve_game(
     agents = ka.signature.agents
     budget = _Budget(STEP_BUDGET)
 
-    atom = _atom_masks(ka, kb)
-    succ_a_mask = _successor_masks(ka)
-    succ_b_mask = _successor_masks(kb)
+    near_a = _within(ka, a.point, rounds)
+    near_b = _within(kb, b.point, rounds)
+    near_b_mask = [sum(1 << v for v in worlds) for worlds in near_b]
+    atom = _atom_masks(ka, kb, near_a[rounds], near_b[rounds])
+    moving = max(rounds - 1, 0)  # the farthest a position with a move left lies
+    succ_a_mask = _successor_masks(ka, near_a[moving])
+    succ_b_mask = _successor_masks(kb, near_b[moving])
 
     # win[u] = bitmask of right worlds v such that the duplicator wins (u, v)
-    # with the current number of rounds left; winT is its transpose.
+    # with the current number of rounds left; winT is its transpose.  Rows
+    # and bits outside the reachable pairs stay 0 and are never read.
     # tables[side][m] is the table with m rounds left indexed by a world on
     # that side, so it masks the worlds on the opposite side.
-    win = list(atom)
+    win = atom
     levels = [win]
     transposes = []
-    for _ in range(rounds):
+    for steps in reversed(range(rounds)):  # the new table's distance from the start
         winT = [0] * nb
-        for u in range(na):
+        for u in near_a[steps + 1]:
             row = win[u]
             while row:
                 low = row & -row
                 winT[low.bit_length() - 1] |= 1 << u
                 row ^= low
         transposes.append(winT)
-        new = []
-        for u in range(na):
+        new = [0] * na
+        for u in near_a[steps]:
             mask = 0
-            candidates = atom[u]
+            candidates = atom[u] & near_b_mask[steps]
             while candidates:
                 low = candidates & -candidates
                 v = low.bit_length() - 1
@@ -237,7 +278,7 @@ def solve_game(
                     succ_a_mask, succ_b_mask, budget,
                 ):
                     mask |= low
-            new.append(mask)
+            new[u] = mask
         win = new
         levels.append(win)
     tables = {"left": levels, "right": transposes}

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedmodal import (
     Diamond,
@@ -11,6 +13,8 @@ from gradedmodal import (
     Prop,
     ResourceLimitError,
     Signature,
+    SignatureError,
+    extension,
     find_cap,
     fo_eval,
     fo_q_equivalent,
@@ -32,6 +36,8 @@ from gradedmodal.folink import (
     Exists,
     FOAnd,
     FONot,
+    FOOr,
+    Forall,
     PropAtom,
     _random_tree_term,
     _smallest_tree_terms,
@@ -48,6 +54,7 @@ from helpers import (
     random_signature,
     random_structure,
 )
+from oracles import naive_fo_eval, naive_fo_q_equivalent
 
 
 def test_translation_fixtures():
@@ -388,3 +395,154 @@ def test_fo_parse_errors(text, message, column):
         parse_fo_formula(text)
     assert str(info.value) == f"{message} (column {column})"
     assert info.value.column == column
+
+
+# ---------------------------------------------------------------------------
+# Guarded evaluation against the naive oracle.
+# ---------------------------------------------------------------------------
+
+_FO_VARS = ("x", "y", "z", "w")
+
+
+@st.composite
+def _fo_structures(draw):
+    sig = Signature(("a", "b")[: draw(st.integers(1, 2))], ("p", "q")[: draw(st.integers(0, 2))])
+    n = draw(st.integers(1, 6))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = {a: draw(st.sets(pairs, max_size=3 * n)) for a in sig.agents}
+    valuation = {p: draw(st.sets(st.integers(0, n - 1))) for p in sig.props}
+    return KripkeStructure(sig, n, edges, valuation)
+
+
+@st.composite
+def _fo_formulas(draw, sig, depth):
+    """FO formulas over a small variable pool, biased toward quantifier
+    blocks whose matrix mixes edge atoms (guards, self-loops, guards from a
+    variable rebound later in the block), equalities and subformulas."""
+    var = st.sampled_from(_FO_VARS)
+    agent = st.sampled_from(sig.agents)
+
+    def atom():
+        kind = draw(st.sampled_from(["prop", "edge", "eq"] if sig.props else ["edge", "eq"]))
+        if kind == "prop":
+            return PropAtom(draw(st.sampled_from(sig.props)), draw(var))
+        if kind == "edge":
+            return EdgeAtom(draw(agent), draw(var), draw(var))
+        return Eq(draw(var), draw(var))
+
+    roll = draw(st.integers(0, 9)) if depth > 0 else 0
+    if roll <= 1:
+        return atom()
+    if roll == 2:
+        return FONot(draw(_fo_formulas(sig, depth - 1)))
+    if roll == 3:
+        ctor = draw(st.sampled_from([FOAnd, FOOr]))
+        return ctor(draw(_fo_formulas(sig, depth - 1)), draw(_fo_formulas(sig, depth - 1)))
+    kind = draw(st.sampled_from([Exists, Forall]))
+    # Repeats in the variable list end the block early and shadow.
+    variables = draw(st.lists(var, min_size=1, max_size=3))
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = draw(st.integers(0, 3))
+        if shape == 0:
+            edge = EdgeAtom(draw(agent), draw(var), draw(st.sampled_from(variables)))
+            parts.append(edge if kind is Exists else FONot(edge))
+        elif shape == 1:
+            parts.append(atom())
+        else:
+            parts.append(draw(_fo_formulas(sig, depth - 1)))
+    matrix = parts[0]
+    same = FOAnd if kind is Exists else FOOr
+    for part in parts[1:]:
+        # Mostly the block's own connective, sometimes the other one.
+        ctor = same if draw(st.integers(0, 4)) else (FOOr if same is FOAnd else FOAnd)
+        matrix = ctor(matrix, part)
+    for v in reversed(variables):
+        matrix = kind(v, matrix)
+    return matrix
+
+
+@st.composite
+def _fo_instances(draw):
+    m = draw(_fo_structures())
+    formula = draw(_fo_formulas(m.signature, 3))
+    assignment = {
+        v: draw(st.integers(0, m.world_count - 1)) for v in sorted(free_vars(formula))
+    }
+    return m, assignment, formula
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fo_instances())
+def test_guarded_fo_eval_matches_naive(instance):
+    m, assignment, formula = instance
+    assert fo_eval(m, assignment, formula) == naive_fo_eval(m, assignment, formula)
+
+
+def test_guarded_fo_eval_fixtures():
+    # 0 -> 1 -> 2, a self-loop at 2; p at 1 and 2.
+    m = KripkeStructure(SIG_AP, 3, {"a": {(0, 1), (1, 2), (2, 2)}}, {"p": {1, 2}})
+    cases = [
+        # Forall guarded by !Ea(x, y): every successor satisfies p.
+        "A y (!Ea(x,y) | p(y))",
+        # the guard's source y is rebound after z in the block
+        "E z E y (Ea(y,z) & p(z))",
+        # a self-loop atom is not a guard
+        "E y (Ea(y,y) & Ea(x,y))",
+        # shadowing: the inner block rebinds y
+        "E y (Ea(x,y) & E y (Ea(y,y) & !p(x)))",
+        "A y A y (!Ea(x,y) | y = x)",
+        "E y E z ((Ea(x,y) & Ea(y,z)) & !y = z)",
+    ]
+    for text in cases:
+        formula = parse_fo_formula(text)
+        for world in m.worlds():
+            assert fo_eval(m, {"x": world}, formula) == naive_fo_eval(m, {"x": world}, formula), (
+                text, world,
+            )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_guarded_fo_eval_matches_satisfies_on_translations(seed):
+    rng = random.Random(seed)
+    sig = random_signature(rng)
+    m = random_structure(rng, sig, max_worlds=6, edge_prob=0.4)
+    f = random_formula(rng, sig, depth=3, max_grade=3)
+    fo = standard_translation(f)
+    assert {w for w in m.structure.worlds() if fo_eval(m.structure, {"x": w}, fo)} == extension(
+        m.structure, f
+    )
+
+
+def test_guarded_fo_eval_of_a_deep_box_on_forty_worlds():
+    rng = random.Random(6)
+    n = 40
+    edges = {(u, v) for u in range(n) for v in rng.sample(range(n), 5)}
+    m = KripkeStructure(SIG_AP, n, {"a": edges}, {"p": {w for w in range(n) if rng.random() < 0.5}})
+    f = parse_formula("[a:2] (<a:3> !p | <a:1> <a:2> p)")
+    fo = standard_translation(f)
+    assert {w for w in m.worlds() if fo_eval(m, {"x": w}, fo)} == extension(m, f)
+
+
+def test_fo_eval_errors_do_not_depend_on_the_data():
+    m = KripkeStructure(SIG_AP, 2, {}, {"p": {1}})
+    unknown = FOAnd(PropAtom("p", "x"), PropAtom("zz", "x"))
+    unassigned = FOOr(Eq("x", "x"), PropAtom("p", "nope"))
+    for world in m.worlds():
+        with pytest.raises(SignatureError):
+            fo_eval(m, {"x": world}, unknown)
+        with pytest.raises(EvaluationError):
+            fo_eval(m, {"x": world}, unassigned)
+    with pytest.raises(SignatureError):
+        fo_eval(m, {"x": 0}, Exists("y", FOAnd(EdgeAtom("a", "x", "y"), EdgeAtom("b", "y", "x"))))
+    with pytest.raises(EvaluationError):
+        fo_eval(m, {"x": 0}, Forall("y", FOOr(Eq("y", "y"), Eq("y", "z"))))
+
+
+def test_fo_q_equivalent_matches_whole_tuple_checks():
+    rng = random.Random(41)
+    for _ in range(150):
+        a, b = random_pair(rng, max_worlds=4)
+        q = rng.randint(0, 2)
+        assert fo_q_equivalent(a, b, q) == naive_fo_q_equivalent(a, b, q)

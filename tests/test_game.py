@@ -3,13 +3,17 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedmodal import (
     FragmentBound,
+    KripkeStructure,
     ResourceLimitError,
     Signature,
     SignatureError,
     bounded_equivalence,
+    disjoint_union,
     distinguishing_formula,
     in_fragment,
     satisfies,
@@ -19,7 +23,8 @@ from gradedmodal import (
 from gradedmodal import game
 from gradedmodal.game import DUPLICATOR, SPOILER
 
-from helpers import fan, random_pair
+from helpers import SIG_A, fan, random_pair, related_pair
+from oracles import whole_table_solve_game
 
 
 def test_fan_game_fixtures():
@@ -174,3 +179,32 @@ def test_result_serializes():
     payload = dup.to_json_dict()
     json.dumps(payload)
     assert payload["winner"] == DUPLICATOR
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 3))
+def test_reachable_tables_match_the_whole_table(seed, cap, rounds):
+    rng = random.Random(seed)
+    a, b = (related_pair if seed % 2 else random_pair)(rng, max_worlds=7)
+    result = solve_game(a, b, cap, rounds)
+    oracle = whole_table_solve_game(a, b, cap, rounds)
+    assert result.winner == oracle.winner
+    assert result.start == oracle.start
+    assert dict(result.strategy) == dict(oracle.strategy)
+    assert verify_strategy(result, a, b)
+
+
+def test_budget_counts_only_reachable_positions(monkeypatch):
+    # The point's component is a 2-fan; the 12-world clique beside it is
+    # unreachable, yet the whole table pays for every pair of its worlds.
+    clique = KripkeStructure(
+        SIG_A, 12, {"a": {(u, v) for u in range(12) for v in range(12) if u != v}}
+    )
+    a = disjoint_union([fan(2).structure, clique], point_from=(0, 0))
+    b = disjoint_union([clique, fan(2).structure], point_from=(1, 0))
+    monkeypatch.setattr(game, "STEP_BUDGET", 200)
+    result = solve_game(a, b, 2, 2)
+    assert result.winner == DUPLICATOR
+    assert verify_strategy(result, a, b)
+    with pytest.raises(ResourceLimitError):
+        whole_table_solve_game(a, b, 2, 2)
