@@ -45,6 +45,10 @@ from .syntax import (
     or_all,
 )
 
+# Entries ``enumerate_types`` (and ``normal_form`` without a catalog) may
+# build before it refuses, checked before any entry is built.
+CATALOG_BUDGET = 5000
+
 
 def _atomic_description(sig: Signature, atoms: tuple[bool, ...]) -> Formula:
     literals: list[Formula] = []
@@ -205,12 +209,10 @@ def enumerate_types(
     sig: Signature,
     cap: int,
     depth: int,
-    *,
-    max_entries: int = 5000,
 ) -> TypeCatalog:
     """Materialize every type at the bound with a formula and a canonical model.
 
-    The catalog size is checked against ``max_entries`` up front, before
+    The catalog size is checked against ``CATALOG_BUDGET`` up front, before
     any materialization.  Canonical models realize a type as a tree with exactly
     n children per child type, n being the capped count.  Each level's
     descriptors are those the refinement key gives the canonical models'
@@ -218,9 +220,9 @@ def enumerate_types(
     """
     if cap < 0 or depth < 0:
         raise ValueError("cap and depth must be nonnegative")
-    if _size_exceeds(sig, cap, depth, max_entries):
+    if _size_exceeds(sig, cap, depth, CATALOG_BUDGET):
         raise ResourceLimitError(
-            f"catalog would hold more than {max_entries} entries, the guard's limit"
+            f"catalog would hold more than {CATALOG_BUDGET} entries, the guard's limit"
         )
 
     atom_options = sorted(product((False, True), repeat=len(sig.props)))
@@ -291,7 +293,6 @@ def normal_form(
     *,
     signature: Optional[Signature] = None,
     catalog: Optional[TypeCatalog] = None,
-    max_entries: int = 5000,
 ) -> Formula:
     """Equivalent disjunction of the type formulas whose models satisfy it.
 
@@ -305,7 +306,7 @@ def normal_form(
     if catalog is None:
         if signature is None:
             signature = inferred_signature(formula)
-        catalog = enumerate_types(signature, cap, depth, max_entries=max_entries)
+        catalog = enumerate_types(signature, cap, depth)
     elif catalog.cap != cap or catalog.depth != depth:
         raise ValueError("catalog bounds differ from the requested bounds")
     disjuncts = [e.formula for e in catalog.entries if satisfies(e.model, formula)]

@@ -111,9 +111,7 @@ def _cmd_char(args) -> tuple[bool, dict, str]:
     target = _load_pointed(args.structure)
     catalog = None
     if args.catalog:
-        catalog = charform.enumerate_types(
-            target.signature, args.c, args.l, max_entries=args.max_entries
-        )
+        catalog = charform.enumerate_types(target.signature, args.c, args.l)
     formula = charform.characteristic_formula(
         target,
         args.c,
@@ -128,7 +126,7 @@ def _cmd_char(args) -> tuple[bool, dict, str]:
 
 def _cmd_types(args) -> tuple[bool, dict, str]:
     sig = _signature_from(args)
-    catalog = charform.enumerate_types(sig, args.c, args.l, max_entries=args.max_entries)
+    catalog = charform.enumerate_types(sig, args.c, args.l)
     payload = catalog.to_json_dict()
     lines = [f"{len(catalog)} types at cap {args.c}, depth {args.l}"]
     lines.extend(f"  type {e['type_id']}: {e['formula']}" for e in payload["entries"])
@@ -138,9 +136,7 @@ def _cmd_types(args) -> tuple[bool, dict, str]:
 def _cmd_nf(args) -> tuple[bool, dict, str]:
     formula = syntax.parse_formula(args.formula)
     signature = _signature_from(args) if (args.agents or args.props) else None
-    result = charform.normal_form(
-        formula, args.c, args.l, signature=signature, max_entries=args.max_entries
-    )
+    result = charform.normal_form(formula, args.c, args.l, signature=signature)
     printed = syntax.format_formula(result)
     payload = {"command": "nf", "cap": args.c, "depth": args.l, "formula": printed}
     return True, payload, printed
@@ -338,20 +334,17 @@ def build_parser() -> argparse.ArgumentParser:
     bounds(p)
     p.add_argument("--catalog", action="store_true", help="complete against a full type catalog")
     p.add_argument("--literal-chi", action="store_true", help="successor classes only, no completion")
-    p.add_argument("--max-entries", type=int, default=5000)
 
     p = add("types", _cmd_types, "enumerate all types at a bound")
     p.add_argument("--agents", default="", help="comma-separated agent names")
     p.add_argument("--props", default="", help="comma-separated proposition names")
     bounds(p)
-    p.add_argument("--max-entries", type=int, default=5000)
 
     p = add("nf", _cmd_nf, "normal form of a formula at a bound")
     p.add_argument("formula")
     bounds(p)
     p.add_argument("--agents", default="")
     p.add_argument("--props", default="")
-    p.add_argument("--max-entries", type=int, default=5000)
 
     p = pair(add("distinguish", _cmd_distinguish, "formula separating two pointed structures"))
     bounds(p)

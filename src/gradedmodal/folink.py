@@ -1,5 +1,5 @@
 """First-order bridge: FO syntax and evaluation over the modal signature,
-the standard translation, bounded back-and-forth equivalence, locality
+the standard translation, rank-q equivalence by Hintikka types, locality
 checks, the padding construction, and the locality/upgrading pipeline.
 
 FO concrete syntax (printable and re-parsable)::
@@ -18,6 +18,7 @@ carries an edge atom to its variable ranges over successors only.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random as _random_module
 import re
@@ -340,8 +341,72 @@ def fo_eval(m: KripkeStructure, assignment: Mapping[str, int], formula: FOFormul
     return ev(formula)
 
 
-# Positions ``fo_q_equivalent`` may visit before it gives up.
+# Tuples one rank-q type may touch before ``fo_q_equivalent`` or ``find_cap``
+# gives up; checked before any type is computed.
 BACK_AND_FORTH_BUDGET = 2_000_000
+
+
+def _check_type_budget(structures, q: int) -> None:
+    """Refuse rank-q types over the largest structure when one would touch
+    more than ``BACK_AND_FORTH_BUDGET`` tuples: sum of n^r over r <= q."""
+    n = max(s.structure.world_count for s in structures)
+    touched, layer = 0, 1
+    for _ in range(q + 1):
+        touched += layer
+        if touched > BACK_AND_FORTH_BUDGET:
+            raise ResourceLimitError(
+                f"a rank-{q} type over {n} worlds touches at least {touched} "
+                f"tuples, more than the back-and-forth budget of "
+                f"{BACK_AND_FORTH_BUDGET}"
+            )
+        layer *= n
+
+
+def _fo_type(pointed: PointedStructure, q: int, table: dict) -> int:
+    """The rank-q type of the pointed structure, as an id interned in ``table``.
+
+    The type of a tuple t at rank r is the set of pairs (relation of w to t,
+    rank-(r - 1) type of t + (w,)) over all worlds w; rank 0 carries
+    nothing more (id -1).  The relation of w to t is w's atoms, w's self-loops per
+    agent, and for each member x of t whether w == x and the edges between
+    x and w in both directions per agent.  The point's own relation to the
+    empty tuple is paired with its rank-q type.  Two points of structures
+    typed against one table are rank-q equivalent iff their ids are equal
+    (Ehrenfeucht-Fraisse).  The caller checks ``_check_type_budget`` first.
+    """
+    m = pointed.structure
+    worlds = m.worlds()
+    edges = [m.edges[agent] for agent in m.signature.agents]
+    own = [
+        (
+            tuple(w in m.valuation[p] for p in m.signature.props),
+            tuple((w, w) in e for e in edges),
+        )
+        for w in worlds
+    ]
+    # relations[x][w]: whether w == x, and the edges x -> w and w -> x per
+    # agent; built only for worlds that end a tuple of positive rank, which
+    # at q = 1 is the point alone.
+    relations: dict[int, list] = {}
+
+    def type_of(t: tuple[int, ...], r: int) -> int:
+        if r == 0:
+            return -1
+        last = t[-1]
+        if last not in relations:
+            relations[last] = [
+                (last == w,) + tuple(((last, w) in e, (w, last) in e) for e in edges)
+                for w in worlds
+            ]
+        rows = [relations[x] for x in t]
+        key = frozenset(
+            (own[w], tuple(row[w] for row in rows), type_of(t + (w,), r - 1))
+            for w in worlds
+        )
+        return table.setdefault(key, len(table))
+
+    top = (own[pointed.point], type_of((pointed.point,), q))
+    return table.setdefault(top, len(table))
 
 
 def fo_q_equivalent(
@@ -349,62 +414,21 @@ def fo_q_equivalent(
     b: PointedStructure,
     q: int,
 ) -> bool:
-    """Round-bounded back-and-forth equivalence of the two pointed structures.
+    """Whether the two pointed structures have equal rank-q types, that is,
+    satisfy the same FO formulas of quantifier rank at most q in the point.
 
-    Positions extend the initial one-pebble tuples; the base case compares
-    the full atomic diagram of the assigned tuples (propositions, edge atoms
-    in both directions including self-loops, and equalities).  A position
-    extends one that already passed, so only its new pair is compared with
-    the tuple.  Exponential in q, hence guarded.
+    Each type is computed once (``_fo_type``) and the two are compared as
+    ids of one table.  Exponential in q, hence guarded: a type touches
+    sum of n^r over r <= q tuples, checked against ``BACK_AND_FORTH_BUDGET``
+    before any type is computed.
     """
     if a.signature != b.signature:
         raise SignatureError("the two structures carry different signatures")
     if q < 0:
         raise ValueError("q must be nonnegative")
-    ka, kb = a.structure, b.structure
-    budget = [BACK_AND_FORTH_BUDGET]
-    memo: dict = {}
-
-    def new_pair_agrees(av: tuple[int, ...], bv: tuple[int, ...]) -> bool:
-        """Whether the last pair matches in atoms, and in equalities and edges
-        in both directions with every pair, itself included."""
-        x, y = av[-1], bv[-1]
-        for p in ka.signature.props:
-            if (x in ka.valuation[p]) != (y in kb.valuation[p]):
-                return False
-        for agent in ka.signature.agents:
-            ea, eb = ka.edges[agent], kb.edges[agent]
-            for xi, yi in zip(av, bv):
-                if ((x, xi) in ea) != ((y, yi) in eb) or ((xi, x) in ea) != ((yi, y) in eb):
-                    return False
-        return all((x == xi) == (y == yi) for xi, yi in zip(av, bv))
-
-    def play(av: tuple[int, ...], bv: tuple[int, ...], rounds: int) -> bool:
-        key = (av, bv, rounds)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ResourceLimitError("back-and-forth search exceeded its budget")
-        # Every extended tuple comes from a prefix already checked.
-        if not new_pair_agrees(av, bv):
-            memo[key] = False
-            return False
-        if rounds == 0:
-            memo[key] = True
-            return True
-        result = all(
-            any(play(av + (wa,), bv + (wb,), rounds - 1) for wb in kb.worlds())
-            for wa in ka.worlds()
-        ) and all(
-            any(play(av + (wa,), bv + (wb,), rounds - 1) for wa in ka.worlds())
-            for wb in kb.worlds()
-        )
-        memo[key] = result
-        return result
-
-    return play((a.point,), (b.point,), q)
+    _check_type_budget((a, b), q)
+    table: dict = {}
+    return _fo_type(a, q, table) == _fo_type(b, q, table)
 
 
 def is_l_local(formula: FOFormula, target: PointedStructure, radius: int) -> bool:
@@ -606,12 +630,12 @@ def upgrade_pipeline(
 
     var = sorted(free_vars(fo))[0]
     vals = {}
-    for label, pointed in (
-        ("left", a), ("right", b), ("left*", a_star), ("right*", b_star),
-    ):
-        vals[label] = fo_eval(pointed.structure, {var: pointed.point}, fo)
-
     sides = (("left", a, a_star), ("right", b, b_star))
+    for name, pointed, star in sides:
+        restricted = _local_part(star.structure, star.point, radius)
+        for label, at in ((name, pointed), (name + "*", star), (name + " local", restricted)):
+            vals[label] = fo_eval(at.structure, {var: at.point}, fo)
+
     for name, pointed, star in sides:
         record(
             f"unravelling is fully bisimilar ({name})",
@@ -629,10 +653,10 @@ def upgrade_pipeline(
             f"unravelling rooted-tree-like ({name})",
             bool(is_rooted_treelike(star.structure, star.point, radius)),
         )
-    for name, _, star in sides:
+    for name, _, _ in sides:
         record(
             f"translated formula local on unravelling ({name})",
-            is_l_local(fo, star, radius),
+            vals[name + "*"] == vals[name + " local"],
         )
 
     equivalent = bool(bounded_equivalence(a, b, cap, radius))
@@ -645,10 +669,7 @@ def upgrade_pipeline(
     )
 
     if equivalent:
-        a_res = _local_part(a_star.structure, a_star.point, radius)
-        b_res = _local_part(b_star.structure, b_star.point, radius)
-        va = fo_eval(a_res.structure, {var: a_res.point}, fo)
-        vb = fo_eval(b_res.structure, {var: b_res.point}, fo)
+        va, vb = vals["left local"], vals["right local"]
         record(
             "restricted tree parts agree on the translated formula",
             va == vb,
@@ -747,67 +768,41 @@ class CapSearchResult:
         }
 
 
-def _tree_terms(sig: Signature, depth: int, size_bound: int) -> list:
-    """Canonical rooted-tree terms: (atoms, tuple of (agent index, term)).
-
-    Children are ordered by (agent index, size, term); the result holds
-    every term within the depth and node bounds, sorted by (size, term).
-    """
-    atom_options = sorted(
-        itertools.product((False, True), repeat=len(sig.props))
-    )
-
-    terms_by_depth: list[list] = []
-    sizes: dict = {}
-
-    for d in range(depth + 1):
-        options = []
-        if d > 0:
-            options = [
-                (ai, t)
-                for ai in range(len(sig.agents))
-                for t in terms_by_depth[d - 1]
-            ]
-            options.sort(key=lambda o: (o[0], sizes[o[1]], o[1]))
-        level = []
-
-        def child_seqs(budget_nodes: int, start: int):
-            yield ()
-            for i in range(start, len(options)):
-                child = options[i]
-                s = sizes[child[1]]
-                if s <= budget_nodes:
-                    for rest in child_seqs(budget_nodes - s, i):
-                        yield (child,) + rest
-
-        for atoms in atom_options:
-            for children in child_seqs(size_bound - 1, 0):
-                term = (atoms, children)
-                total = 1 + sum(sizes[t] for _, t in children)
-                if term not in sizes:
-                    sizes[term] = total
-                level.append(term)
-        # terms of depth < d re-appear (empty extensions); dedupe
-        seen = set()
-        unique = []
-        for term in level:
-            if term not in seen:
-                seen.add(term)
-                unique.append(term)
-        terms_by_depth.append(unique)
-
-    return sorted(terms_by_depth[depth], key=lambda t: (sizes[t], t))
-
-
 def _smallest_tree_terms(sig: Signature, depth: int, size_bound: int, budget: int):
-    """The first ``budget`` terms of ``_tree_terms`` and whether none were cut.
+    """The first ``budget`` canonical rooted-tree terms and whether none were cut.
 
-    The node bound grows one at a time and enumeration stops at the first
-    bound with more than ``budget`` terms, so a cut never enumerates the
-    larger trees it drops.
+    A term is (atoms, tuple of (agent index, term)), with children ordered
+    by (agent index, size, term); terms come sorted by (size, term), within
+    the depth and node bounds.  The terms of each size are built once, from
+    smaller ones, and enumeration stops after the first size that takes the
+    count past ``budget``, so a cut never builds the larger trees it drops.
     """
-    for bound in range(1, size_bound + 1):
-        terms = _tree_terms(sig, depth, bound)
+    atom_options = sorted(itertools.product((False, True), repeat=len(sig.props)))
+    # sized[d][s]: the terms of depth <= d with s nodes, sorted.
+    sized: list[list[list]] = [[[]] for _ in range(depth + 1)]
+    # chains[d][k]: the child tuples of k nodes in all under a depth-d root,
+    # in order of their first options, beside those first options; option
+    # (agent index, s, j) is the child sized[d - 1][s][j] under that agent.
+    chains: list[list[tuple]] = [[([()], [])] for _ in range(depth + 1)]
+    terms: list = []
+    for size in range(1, size_bound + 1):
+        k = size - 1
+        for d in range(depth + 1):
+            if k:
+                seqs, firsts = [], []
+                for ai in range(len(sig.agents) if d else 0):
+                    for s in range(1, k + 1):
+                        tail_seqs, tail_firsts = chains[d][k - s]
+                        for j, child in enumerate(sized[d - 1][s]):
+                            option = (ai, s, j)
+                            for tail in tail_seqs[bisect.bisect_left(tail_firsts, option):]:
+                                seqs.append(((ai, child),) + tail)
+                                firsts.append(option)
+                chains[d].append((seqs, firsts))
+            sized[d].append(
+                sorted((atoms, seq) for atoms in atom_options for seq in chains[d][k][0])
+            )
+        terms.extend(sized[depth][size])
         if len(terms) > budget:
             return terms[:budget], False
     return terms, True
@@ -839,10 +834,10 @@ def find_cap(q: int, radius: int, sig: Signature, size_bound: int) -> CapSearchR
     """Least cap making bounded equivalence refine rank-q FO equivalence on
     the examined rooted trees of depth <= radius within the size bound.
 
-    Trees are enumerated canonically, smallest first.  Past
-    ``CAP_SEARCH_BUDGET`` trees the enumeration stops, ``CAP_SEARCH_SAMPLES``
-    random trees of a fixed seed are mixed in, and the result is flagged
-    non-exhaustive.  This is empirical evidence over the sample only, never
+    Trees are enumerated canonically, smallest first, and each tree's
+    rank-q type is computed once.  Past ``CAP_SEARCH_BUDGET`` trees the
+    enumeration stops, ``CAP_SEARCH_SAMPLES`` random trees of a fixed seed
+    are mixed in, and the result is flagged non-exhaustive.  This is empirical evidence over the sample only, never
     a proof: it reports the least cap consistent with the examined
     structures.
     """
@@ -869,17 +864,10 @@ def find_cap(q: int, radius: int, sig: Signature, size_bound: int) -> CapSearchR
 
     structures = [tree(t) for t in terms]
 
-    # FO classes do not depend on the cap: classify once, by representatives.
-    fo_class = [0] * len(structures)
-    reps: list[int] = []
-    for idx, s in enumerate(structures):
-        for cls, r in enumerate(reps):
-            if fo_q_equivalent(s, structures[r], q):
-                fo_class[idx] = cls
-                break
-        else:
-            fo_class[idx] = len(reps)
-            reps.append(idx)
+    # FO classes do not depend on the cap: type each tree once.
+    _check_type_budget(structures, q)
+    table: dict = {}
+    fo_class = [_fo_type(s, q, table) for s in structures]
 
     log: list[CapCounterexample] = []
     for cap in range(0, size_bound + 1):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .errors import ResourceLimitError, SignatureError
 from .kripke import KripkeStructure, PointedStructure
@@ -390,17 +390,15 @@ def verify_strategy(
     result: GameResult,
     a: PointedStructure,
     b: PointedStructure,
-    cap: Optional[int] = None,
-    rounds: Optional[int] = None,
 ) -> bool:
-    """Replay every opposing move against the certificate.
+    """Replay every opposing move against the certificate, at its cap and
+    number of rounds.
 
     Returns True iff the claimed winner never loses under the stored
     strategy; a strategy that is not total on a reached position, or that
     makes an illegal move, is rejected.
     """
-    cap = result.cap if cap is None else cap
-    rounds = result.rounds if rounds is None else rounds
+    cap, rounds = result.cap, result.rounds
     ka, kb = a.structure, b.structure
     agents = ka.signature.agents
 

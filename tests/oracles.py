@@ -5,11 +5,13 @@ an atom is reached.  ``whole_table_solve_game`` fills the duplicator's win
 table for every pair of worlds and every number of rounds left, then
 extracts the strategy exactly as ``solve_game`` does.
 ``naive_fo_q_equivalent`` plays the back-and-forth game without memo,
-re-checking the whole tuple at every position.
+re-checking the whole tuple at every position.  ``full_tree_terms``
+enumerates every canonical tree term within the bounds and sorts them.
 """
 
 from __future__ import annotations
 
+import itertools
 from types import MappingProxyType
 from typing import Mapping
 
@@ -38,7 +40,7 @@ from gradedmodal.game import (
     _extract_spoiler,
     _successor_masks,
 )
-from gradedmodal.kripke import KripkeStructure, PointedStructure
+from gradedmodal.kripke import KripkeStructure, PointedStructure, Signature
 
 
 def naive_fo_eval(m: KripkeStructure, assignment: Mapping[str, int], formula: FOFormula) -> bool:
@@ -181,3 +183,55 @@ def naive_fo_q_equivalent(a: PointedStructure, b: PointedStructure, q: int) -> b
         )
 
     return play((a.point,), (b.point,), q)
+
+
+def full_tree_terms(sig: Signature, depth: int, size_bound: int) -> list:
+    """Canonical rooted-tree terms: (atoms, tuple of (agent index, term)).
+
+    Children are ordered by (agent index, size, term); the result holds
+    every term within the depth and node bounds, sorted by (size, term).
+    """
+    atom_options = sorted(
+        itertools.product((False, True), repeat=len(sig.props))
+    )
+
+    terms_by_depth: list[list] = []
+    sizes: dict = {}
+
+    for d in range(depth + 1):
+        options = []
+        if d > 0:
+            options = [
+                (ai, t)
+                for ai in range(len(sig.agents))
+                for t in terms_by_depth[d - 1]
+            ]
+            options.sort(key=lambda o: (o[0], sizes[o[1]], o[1]))
+        level = []
+
+        def child_seqs(budget_nodes: int, start: int):
+            yield ()
+            for i in range(start, len(options)):
+                child = options[i]
+                s = sizes[child[1]]
+                if s <= budget_nodes:
+                    for rest in child_seqs(budget_nodes - s, i):
+                        yield (child,) + rest
+
+        for atoms in atom_options:
+            for children in child_seqs(size_bound - 1, 0):
+                term = (atoms, children)
+                total = 1 + sum(sizes[t] for _, t in children)
+                if term not in sizes:
+                    sizes[term] = total
+                level.append(term)
+        # terms of depth < d re-appear (empty extensions); dedupe
+        seen = set()
+        unique = []
+        for term in level:
+            if term not in seen:
+                seen.add(term)
+                unique.append(term)
+        terms_by_depth.append(unique)
+
+    return sorted(terms_by_depth[depth], key=lambda t: (sizes[t], t))

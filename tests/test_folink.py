@@ -1,4 +1,6 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +43,6 @@ from gradedmodal.folink import (
     PropAtom,
     _random_tree_term,
     _smallest_tree_terms,
-    _tree_terms,
     free_vars,
 )
 
@@ -53,8 +54,9 @@ from helpers import (
     random_pair,
     random_signature,
     random_structure,
+    related_pair,
 )
-from oracles import naive_fo_eval, naive_fo_q_equivalent
+from oracles import full_tree_terms, naive_fo_eval, naive_fo_q_equivalent
 
 
 def test_translation_fixtures():
@@ -215,6 +217,22 @@ def test_fo_equivalence_budget(monkeypatch):
         fo_q_equivalent(a, b, 2)
 
 
+def test_type_budget_is_checked_before_any_type(monkeypatch):
+    # A rank-2 type over fan(4)'s 5 worlds touches 1 + 5 + 25 = 31 tuples.
+    def no_types(*args):
+        raise AssertionError("a type was computed before the budget check")
+
+    monkeypatch.setattr(folink, "BACK_AND_FORTH_BUDGET", 30)
+    with monkeypatch.context() as patched:
+        patched.setattr(folink, "_fo_type", no_types)
+        with pytest.raises(ResourceLimitError, match="31 tuples"):
+            fo_q_equivalent(fan(1), fan(4), 2)
+        with pytest.raises(ResourceLimitError):
+            find_cap(2, 1, SIG_A, 5)
+    monkeypatch.setattr(folink, "BACK_AND_FORTH_BUDGET", 31)
+    assert not fo_q_equivalent(fan(1), fan(4), 2)
+
+
 def test_locality_fixtures():
     rng = random.Random(13)
     st1 = standard_translation(parse_formula("<a:1> p"))
@@ -303,10 +321,32 @@ def test_find_cap_two_forced_by_fans():
     assert at_one
 
 
+def test_cap_table_matches_find_cap():
+    doc = Path(__file__).resolve().parent.parent / "docs" / "caps.md"
+    rows = re.findall(
+        r"^\| `\(([^;]*);([^)]*)\)` \| (\d+) \| (\d+) \| (\d+) \| (\d+) \| (\d+) \| (yes|no) \|$",
+        doc.read_text(encoding="utf-8"),
+        re.MULTILINE,
+    )
+    assert len(rows) == 16
+    for agents, props, q, radius, cap, trees, examples, exhaustive in rows:
+        sig = Signature(
+            tuple(a.strip() for a in agents.split(",") if a.strip()),
+            tuple(p.strip() for p in props.split(",") if p.strip()),
+        )
+        result = find_cap(int(q), int(radius), sig, 6)
+        assert (
+            result.cap,
+            result.structures_examined,
+            len(result.counterexamples),
+            result.exhaustive,
+        ) == (int(cap), int(trees), int(examples), exhaustive == "yes"), (agents, props, q, radius)
+
+
 def test_sampled_trees_are_enumerated_trees():
     # The sampler orders children as the enumerator does, so a sampled tree
     # equal to an enumerated one is the same term.
-    exhaustive = set(_tree_terms(SIG_AP, 2, 7))
+    exhaustive = set(full_tree_terms(SIG_AP, 2, 7))
     rng = random.Random(0)
     for _ in range(200):
         assert _random_tree_term(rng, SIG_AP, 2, 7) in exhaustive
@@ -316,7 +356,7 @@ def test_smallest_tree_terms_match_the_full_enumeration():
     for sig in (SIG_A, SIG_AP, Signature(("a", "b"), ())):
         for depth in (0, 1, 2):
             for size in (1, 3, 5):
-                full = _tree_terms(sig, depth, size)
+                full = full_tree_terms(sig, depth, size)
                 for budget in (1, 4, 30, len(full) - 1, len(full), len(full) + 1):
                     terms, exhausted = _smallest_tree_terms(sig, depth, size, budget)
                     assert terms == full[:budget]
@@ -541,8 +581,19 @@ def test_fo_eval_errors_do_not_depend_on_the_data():
 
 
 def test_fo_q_equivalent_matches_whole_tuple_checks():
+    # Half the pairs are related (unravellings, junk unions, twins), so that
+    # equal types occur; random signatures have one or two agents, and each
+    # edge, self-loops included, is drawn independently.
     rng = random.Random(41)
-    for _ in range(150):
-        a, b = random_pair(rng, max_worlds=4)
-        q = rng.randint(0, 2)
-        assert fo_q_equivalent(a, b, q) == naive_fo_q_equivalent(a, b, q)
+    seen = {"equal": 0, "equal at rank 3": 0, "two agents with self-loops": 0}
+    for i in range(600):
+        a, b = (related_pair if i % 2 else random_pair)(rng, max_worlds=4)
+        q = rng.randint(0, 3)
+        verdict = fo_q_equivalent(a, b, q)
+        assert verdict == naive_fo_q_equivalent(a, b, q)
+        seen["equal"] += verdict
+        seen["equal at rank 3"] += verdict and q == 3
+        seen["two agents with self-loops"] += len(a.signature.agents) == 2 and any(
+            u == v for side in (a, b) for edges in side.structure.edges.values() for u, v in edges
+        )
+    assert all(seen.values()), seen
