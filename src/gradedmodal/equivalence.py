@@ -10,7 +10,6 @@ game equivalence, which the game module cross-checks independently.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -138,69 +137,51 @@ def refine(history: ColorHistory) -> ColorHistory:
 
 
 class _StableBlocks:
-    """Refinement state for rounds that recompute only some keys.
+    """The state of the refinement kernel between its rounds.
 
     Every class has a stable block id: when a class splits, one part keeps
     its id and the other parts get fresh ids.  ``key_of[b]`` is the key the
     members of block ``b`` had when it was last computed, over block ids.  A
     member none of whose successors changed block since still has that key,
     so a round recomputes only the predecessors of the worlds that moved.
+    The first round knows no keys and recomputes every world.
     """
 
     __slots__ = ("block", "size", "key_of", "order", "canon", "moved")
 
-    @classmethod
-    def after(
-        cls, level: tuple[int, ...], new: tuple[int, ...], keys: list
-    ) -> Optional[_StableBlocks]:
-        """The state after a whole-level round from ``level`` to ``new``, or
-        None if that round moved most worlds.
-
-        The largest part of each class keeps the class's id in ``level``, so
-        the keys computed over ``level`` are keys over block ids.
-        """
-        part_sizes = Counter(zip(level, new))
-        largest: dict[int, tuple[int, int]] = {}
-        for (parent, child), count in part_sizes.items():
-            if count > largest.get(parent, (0, 0))[0]:
-                largest[parent] = (count, child)
-        if 2 * sum(count for count, _ in largest.values()) <= len(level):
-            return None
-        self = cls.__new__(cls)
-        self.order = [0] * len(part_sizes)  # canonical id -> block id
-        self.size = [0] * len(part_sizes)
-        fresh = len(largest)
-        for (parent, child), count in part_sizes.items():
-            if largest[parent][1] == child:
-                b = parent
-            else:
-                b, fresh = fresh, fresh + 1
-            self.order[child] = b
-            self.size[b] = count
-        self.canon = dict(zip(self.order, range(len(self.order))))  # block id -> canonical id
-        self.block = list(map(self.order.__getitem__, new))
-        self.key_of: list = [None] * len(part_sizes)
-        for b, k in zip(self.block, keys):
-            self.key_of[b] = k
-        self.moved = [w for w, b in enumerate(self.block) if b >= len(largest)]
-        return self
+    def __init__(self, level: tuple[int, ...]):
+        """The atomic level, one block per class, with no key known yet."""
+        self.block = list(level)
+        self.size = [0] * len(set(level))
+        for b in level:
+            self.size[b] += 1
+        self.key_of: list = [None] * len(self.size)
+        self.order = list(range(len(self.size)))  # canonical id -> block id
+        self.canon = self.order[:]  # block id -> canonical id
+        self.moved: Optional[list[int]] = None
 
     def round(
-        self, keys_of: Callable[[list, Iterable[int]], list], preds: list, level: tuple[int, ...]
+        self,
+        keys_of: Callable[[list, Iterable[int]], list],
+        predecessors: Callable[[], dict],
+        level: tuple[int, ...],
     ) -> tuple[int, ...]:
-        """The next level, recomputing only the predecessors of moved worlds.
+        """The next level, or ``level`` itself if no class splits.
 
         ``keys_of(labels, worlds)`` gives the worlds' keys over ``labels``;
-        ``preds`` holds each agent's predecessor lists.
+        ``predecessors()`` gives each agent's predecessor lists, and is
+        called only from the second round on.
 
         Unsplit classes keep their rank among ``level``'s ids; the parts of a
         split class are ranked by their keys over ``level``'s ids, which is
         the order ``refine`` gives them.
         """
         block, size, key_of = self.block, self.size, self.key_of
-        dirty: set[int] = set()
-        for pred in preds:
-            dirty.update(*map(pred.__getitem__, self.moved))
+        dirty: Iterable[int] = range(len(block))
+        if self.moved is not None:
+            dirty = set()
+            for pred in predecessors().values():
+                dirty.update(*map(pred.__getitem__, self.moved))
         # Every key is computed before any world changes block.
         touched: dict[int, dict[tuple, list[int]]] = {}
         for w, k in zip(dirty, keys_of(block, dirty)):
@@ -213,11 +194,10 @@ class _StableBlocks:
                 # names a block made in the last round and theirs cannot, so
                 # every recomputed member leaves.
                 kept = key_of[b]
-            elif len(groups) == 1:
-                key_of[b] = next(iter(groups))
-                continue
             else:
                 kept = key_of[b] = max(groups, key=lambda k: len(groups[k]))
+                if len(groups) == 1:
+                    continue
             parts = [(kept, b)]
             for k, worlds in groups.items():
                 if k == kept:
@@ -235,8 +215,16 @@ class _StableBlocks:
             return level
         canon = self.canon
 
-        def canonical(part: tuple[tuple, int]) -> tuple:
-            return tuple(tuple(sorted((canon[b], n) for b, n in pairs)) for pairs in part[0])
+        def canonical(part: tuple[tuple, int]) -> list:
+            """The part's key as ``refine`` writes it: per agent, the sorted
+            (label, count) pairs over ``level``'s ids."""
+            key = []
+            for found in part[0]:
+                counts: dict[int, int] = {}
+                for c in map(canon.__getitem__, found):
+                    counts[c] = counts.get(c, 0) + 1
+                key.append(sorted(counts.items()))
+            return key
 
         order: list[int] = []
         start = 0
@@ -244,8 +232,8 @@ class _StableBlocks:
             order += self.order[start:position]
             order += [b for _, b in sorted(splits[position], key=canonical)]
             start = position + 1
-        self.order = order + self.order[start:]
-        self.canon = dict(zip(self.order, range(len(self.order))))
+        order = self.order = order + self.order[start:]
+        self.canon = sorted(range(len(order)), key=order.__getitem__)  # the inverse
         return tuple(map(self.canon.__getitem__, block))
 
 
@@ -260,53 +248,40 @@ def refine_to(
     With ``depth=None`` refinement runs to its fixed point: the history ends
     at the first level that repeats its predecessor.
 
-    The result equals that many ``refine`` steps, level for level.  A round
-    after one that moved most worlds recomputes every key, as ``refine``
-    does; any other round recomputes only the keys of worlds with a
-    successor that changed class (see ``_StableBlocks``).
+    The result equals that many ``refine`` steps, level for level.  Every
+    round is a ``_StableBlocks`` round: the first recomputes every key, and
+    each later one only the keys of worlds with a successor that changed
+    class in the round before.
     """
     level = atomic_history(arena, cap, offsets).levels[0]
     levels = [level]
-    n = arena.world_count
     # Cap 0 drops every count, so no key then depends on the successors.
     succs = [arena._succ[agent] for agent in arena.signature.agents] if cap != 0 else []
 
     def keys_of(labels, worlds: Iterable[int]) -> list[tuple]:
-        """Per world, per agent, the sorted (label, capped count) pairs of
-        its successors' labels."""
+        """Per world, per agent, its successors' labels as a sorted tuple in
+        which no label occurs more than ``cap`` times."""
+        label_of = labels.__getitem__
         keys = []
         for world in worlds:
             parts = []
             for succ in succs:
-                counts: dict[int, int] = {}
-                for v in succ[world]:
-                    label = labels[v]
-                    counts[label] = counts.get(label, 0) + 1
-                if cap is None:
-                    parts.append(tuple(sorted(counts.items())))
-                else:
-                    capped = [(label, k if k < cap else cap) for label, k in counts.items()]
-                    parts.append(tuple(sorted(capped)))
+                found = sorted(map(label_of, succ[world]))
+                if cap is not None and len(found) > cap:
+                    # found[i] is past the cap iff found[i - cap] is the same label.
+                    found = [x for i, x in enumerate(found) if i < cap or found[i - cap] != x]
+                parts.append(tuple(found))
             keys.append(tuple(parts))
         return keys
 
-    blocks: Optional[_StableBlocks] = None
+    blocks = _StableBlocks(level)
     while depth is None or len(levels) <= depth:
-        if blocks is None:
-            keys = keys_of(level, range(n))
-            new = _ranks(list(zip(level, keys)))
-            if new != level and (depth is None or len(levels) < depth):
-                blocks = _StableBlocks.after(level, new, keys)
-        else:
-            new = blocks.round(keys_of, list(arena._predecessors().values()), level)
-            if 2 * len(blocks.moved) >= n:
-                blocks = None
-        if new == level:
+        level = blocks.round(keys_of, arena._predecessors, level)
+        if level is levels[-1]:
             # A stable partition stays stable: the remaining levels repeat.
             levels.extend([level] * (1 if depth is None else depth + 1 - len(levels)))
             break
-        levels.append(new)
-        level = new
+        levels.append(level)
     return ColorHistory(arena, cap, offsets, tuple(levels))
 
 

@@ -390,20 +390,34 @@ def _fo_type(pointed: PointedStructure, q: int, table: dict) -> int:
     relations: dict[int, list] = {}
 
     def type_of(t: tuple[int, ...], r: int) -> int:
+        """The type id of ``t`` at rank ``r``.  An explicit stack holds, per
+        open tuple, its rank and the type ids of its extensions so far, so
+        q is not bounded by the recursion limit."""
         if r == 0:
             return -1
-        last = t[-1]
-        if last not in relations:
-            relations[last] = [
-                (last == w,) + tuple(((last, w) in e, (w, last) in e) for e in edges)
-                for w in worlds
-            ]
-        rows = [relations[x] for x in t]
-        key = frozenset(
-            (own[w], tuple(row[w] for row in rows), type_of(t + (w,), r - 1))
-            for w in worlds
-        )
-        return table.setdefault(key, len(table))
+        stack: list[tuple[tuple[int, ...], int, list[int]]] = [(t, r, [])]
+        while True:
+            t, r, below = stack[-1]
+            if r == 1:
+                below = [-1] * len(worlds)
+            elif len(below) < len(worlds):
+                stack.append((t + (worlds[len(below)],), r - 1, []))
+                continue
+            for x in t:
+                if x not in relations:
+                    relations[x] = [
+                        (x == w,) + tuple(((x, w) in e, (w, x) in e) for e in edges)
+                        for w in worlds
+                    ]
+            rows = [relations[x] for x in t]
+            key = frozenset(
+                (own[w], tuple(row[w] for row in rows), below[w]) for w in worlds
+            )
+            stack.pop()
+            type_id = table.setdefault(key, len(table))
+            if not stack:
+                return type_id
+            stack[-1][2].append(type_id)
 
     top = (own[pointed.point], type_of((pointed.point,), q))
     return table.setdefault(top, len(table))
@@ -587,7 +601,7 @@ def upgrade_pipeline(
     Without a cap, ``find_cap`` searches one at radius at most
     ``FO_CHECK_RADIUS`` over trees of at most ``CAP_SEARCH_SIZE_BOUND``
     worlds.  Each unravelling is refused above ``UNRAVEL_WORLD_BOUND``
-    worlds, before it is built.
+    worlds before any of this work, the cap search included, starts.
     """
     if a.signature != b.signature:
         raise SignatureError("the two structures carry different signatures")
@@ -597,6 +611,14 @@ def upgrade_pipeline(
     notes = [f"locality radius = 2^{q} - 1 = {2 ** q - 1}"]
     if radius_override is not None:
         notes.append(f"radius overridden to {radius}")
+
+    depth = radius + 1
+    for side, name in ((a, "left"), (b, "right")):
+        size = _unravel_size(side, depth)
+        if size > UNRAVEL_WORLD_BOUND:
+            raise ResourceLimitError(
+                f"unravelling the {name} input to depth {depth} needs {size} worlds"
+            )
 
     if cap is None:
         search_radius = min(radius, FO_CHECK_RADIUS)
@@ -613,13 +635,6 @@ def upgrade_pipeline(
     else:
         cap_source = "supplied"
 
-    depth = radius + 1
-    for side, name in ((a, "left"), (b, "right")):
-        size = _unravel_size(side, depth)
-        if size > UNRAVEL_WORLD_BOUND:
-            raise ResourceLimitError(
-                f"unravelling the {name} input to depth {depth} needs {size} worlds"
-            )
     a_star = unravel(a, depth)
     b_star = unravel(b, depth)
 

@@ -1,4 +1,5 @@
-"""Every private module-level function of the package is used somewhere."""
+"""Every private helper of the package is used somewhere, and every import
+of a module is used by that module."""
 
 import ast
 from pathlib import Path
@@ -6,25 +7,33 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gradedmodal"
 
 
-def _private_functions(tree: ast.Module):
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_definitions(tree: ast.Module):
+    """Private module-level functions and classes, and the methods (other
+    than dunders) of private classes, as (qualified name, node, whether
+    only attribute reads count) triples: a method is read as an attribute."""
     for node in tree.body:
-        if (
-            isinstance(node, ast.FunctionDef)
-            and node.name.startswith("_")
-            and not node.name.startswith("__")
-        ):
-            yield node
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _is_private(node.name):
+            yield node.name, node, False
+        if isinstance(node, ast.ClassDef) and _is_private(node.name):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
+                    yield f"{node.name}.{member.name}", member, True
 
 
-def _referenced_names(node: ast.AST, skip: ast.AST = None) -> set[str]:
-    """Names read as a bare name or an attribute under ``node``, outside ``skip``."""
+def _referenced_names(node: ast.AST, skip: ast.AST = None, attributes_only=False) -> set[str]:
+    """Names read as a bare name (unless ``attributes_only``) or an
+    attribute under ``node``, outside ``skip``."""
     names = set()
     stack = [node]
     while stack:
         current = stack.pop()
         if current is skip:
             continue
-        if isinstance(current, ast.Name):
+        if isinstance(current, ast.Name) and not attributes_only:
             names.add(current.id)
         elif isinstance(current, ast.Attribute):
             names.add(current.attr)
@@ -32,17 +41,40 @@ def _referenced_names(node: ast.AST, skip: ast.AST = None) -> set[str]:
     return names
 
 
-def test_no_dead_private_helpers():
-    trees = {
+def _package_trees() -> dict[str, ast.Module]:
+    return {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(PACKAGE.glob("*.py"))
     }
+
+
+def test_no_dead_private_helpers():
+    trees = _package_trees()
     dead = []
     for module, tree in trees.items():
-        for helper in _private_functions(tree):
+        for name, definition, attributes_only in _private_definitions(tree):
             used = set()
             for other, other_tree in trees.items():
-                used |= _referenced_names(other_tree, skip=helper if other == module else None)
-            if helper.name not in used:
-                dead.append(f"{module}:{helper.name}")
+                skip = definition if other == module else None
+                used |= _referenced_names(other_tree, skip, attributes_only)
+            if definition.name not in used:
+                dead.append(f"{module}:{name}")
     assert dead == []
+
+
+def test_no_unused_imports():
+    # __init__.py imports in order to re-export.
+    unused = []
+    for module, tree in _package_trees().items():
+        if module == "__init__.py":
+            continue
+        used = _referenced_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{module}:{bound}")
+    assert unused == []

@@ -346,10 +346,28 @@ def test_kernel_matches_hand_loop_on_sparse_graphs():
             assert refine_to(arena, cap) == fixpoint
 
 
+def test_kernel_refines_the_empty_aggregate():
+    empty = KripkeStructure(SIG_A, 0)
+    for cap in (None, 0, 2):
+        history = atomic_history(empty, cap)
+        assert refine_to(empty, cap, depth=2) == refine(refine(history))
+        assert refine_to(empty, cap) == refine(history)
+        assert refine_to(empty, cap, depth=2).levels == ((), (), ())
+        assert refine_to(empty, cap).levels == ((), ())
+
+
 def _marked_chain(n: int) -> KripkeStructure:
     """Worlds 0 -> 1 -> ... -> n-1 along 'a', with p true at world n-1 only."""
     sig = Signature(("a",), ("p",))
     return KripkeStructure(sig, n, {"a": {(i, i + 1) for i in range(n - 1)}}, {"p": {n - 1}})
+
+
+def test_only_a_second_round_builds_predecessor_lists():
+    chain = _marked_chain(5)
+    refine_to(chain, None, depth=1)
+    assert chain._pred is None
+    refine_to(chain, None, depth=2)
+    assert chain._pred is not None
 
 
 def test_long_marked_chain_takes_one_round_per_world():

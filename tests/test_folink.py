@@ -32,6 +32,7 @@ from gradedmodal import (
     upgrade_pipeline,
 )
 from gradedmodal import folink
+from gradedmodal.cli import run
 from gradedmodal.folink import (
     EdgeAtom,
     Eq,
@@ -50,6 +51,7 @@ from helpers import (
     SIG_A,
     SIG_AP,
     fan,
+    loop1,
     random_formula,
     random_pair,
     random_signature,
@@ -233,6 +235,14 @@ def test_type_budget_is_checked_before_any_type(monkeypatch):
     assert not fo_q_equivalent(fan(1), fan(4), 2)
 
 
+def test_fo_types_at_a_rank_deeper_than_the_recursion_limit(capsys):
+    # 601 tuples is well inside the budget, and q = 600 outgrows the
+    # recursion limit if types recurse once per rank.
+    assert fo_q_equivalent(loop1(), loop1(), 600)
+    path = str(Path(__file__).parent / "data" / "loop1.kr")
+    assert run(["fo-equiv", path, path, "--q", "600"]) == 0
+
+
 def test_locality_fixtures():
     rng = random.Random(13)
     st1 = standard_translation(parse_formula("<a:1> p"))
@@ -387,6 +397,18 @@ def test_upgrade_searches_cap_when_omitted():
     assert report.holds  # steps conditional on equivalence are skipped
     statuses = {s.name: s.status for s in report.steps}
     assert statuses["end-to-end truth values agree"] == "skipped"
+
+
+def test_upgrade_checks_the_unravelling_guard_before_the_cap_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the cap search ran before the unravelling guard")
+
+    monkeypatch.setattr(folink, "find_cap", no_search)
+    sig = Signature(("a", "b"), ("p", "q"))
+    complete = KripkeStructure(sig, 30, {"a": {(u, v) for u in range(30) for v in range(30)}}, {})
+    a = PointedStructure(complete, 0)
+    with pytest.raises(ResourceLimitError, match="left input to depth 8 needs 22624137961"):
+        upgrade_pipeline(parse_formula("<a:1> <a:1> <a:1> p"), a, a)
 
 
 def test_fo_round_trip():
