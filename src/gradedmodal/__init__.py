@@ -53,7 +53,6 @@ from .equivalence import (
     refine,
     refine_to,
     relation_is_graded_bisimulation,
-    type_descriptor,
 )
 from .game import (
     DuplicatorMove,

@@ -13,9 +13,10 @@ are exposed:
 * default: one conjunct per agent asserting that every successor falls into
   one of the realized classes (a negated grade-1 modality over the negated
   disjunction of class formulas); sound and complete with no catalog;
-* catalog mode: the catalog's formula for the target's type at the depth,
-  which has an explicit negated grade-1 conjunct for every catalog type
-  with zero successor count, a completion relative to the full catalog;
+* catalog mode: the one formula of the catalog's level at the depth that
+  the target satisfies, found by model checking each in turn; it has an
+  explicit negated grade-1 conjunct for every catalog type with zero
+  successor count, a completion relative to the full catalog;
 * bare mode (``exclude_unrealized=False``): successor classes only.  This
   variant does not define the class and is exposed for comparison.
 """
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .equivalence import _descriptors, bounded_equivalence, refine_to, type_descriptor
+from .equivalence import bounded_equivalence, refine_to
 from .errors import GradedModalError, ResourceLimitError, SignatureError
 from .kripke import PointedStructure, Signature, _realize, disjoint_union, part_offsets
 from .semantics import satisfies
@@ -92,7 +93,8 @@ def characteristic_formula(
             raise SignatureError("catalog signature differs from the structure's")
         if catalog.cap != cap or catalog.depth < depth:
             raise ValueError("catalog bounds do not cover the requested bounds")
-        return catalog.formula_for(depth, type_descriptor(m, target.point, cap, depth))
+        # The level's formulas partition the signature's pointed structures.
+        return next(f for f in catalog.level_formulas[depth] if satisfies(target, f))
 
     history = refine_to(m, cap, depth=depth)
 
@@ -138,8 +140,10 @@ class TypeCatalog:
     """All equivalence types at a bound, with defining formulas and models.
 
     Entries are pairwise inequivalent and every pointed structure of the
-    signature satisfies exactly one entry formula at the bound.  Internal
-    per-level descriptor/formula tables back the catalog completion mode of
+    signature satisfies exactly one entry formula at the bound.
+    ``level_formulas[d]`` lists the type formulas at every depth d up to the
+    bound, in type order; each level's formulas also partition the pointed
+    structures, and back the catalog completion mode of
     ``characteristic_formula``.
     """
 
@@ -147,15 +151,10 @@ class TypeCatalog:
     cap: int
     depth: int
     entries: tuple[TypeEntry, ...]
-    level_descriptors: tuple[tuple, ...]
     level_formulas: tuple[tuple[Formula, ...], ...]
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def formula_for(self, level: int, descriptor) -> Formula:
-        idx = self.level_descriptors[level].index(descriptor)
-        return self.level_formulas[level][idx]
 
     def to_json_dict(self) -> dict:
         from .kripke import dump_structure
@@ -214,9 +213,11 @@ def enumerate_types(
 
     The catalog size is checked against ``CATALOG_BUDGET`` up front, before
     any materialization.  Canonical models realize a type as a tree with exactly
-    n children per child type, n being the capped count.  Each level's
-    descriptors are those the refinement key gives the canonical models'
-    points in their disjoint union; the final ones must be pairwise distinct.
+    n children per child type, n being the capped count.  Each level refines
+    the previous level's models together with the new ones: a new root's
+    class one level down names the previous type its formula starts with,
+    and the new types are ordered by their class ids, which rank the
+    refinement keys; the new roots' classes must be pairwise distinct.
     """
     if cap < 0 or depth < 0:
         raise ValueError("cap and depth must be nonnegative")
@@ -226,64 +227,37 @@ def enumerate_types(
         )
 
     atom_options = sorted(product((False, True), repeat=len(sig.props)))
-    level_descs: list[list] = [list(atom_options)]
-    level_models: list[dict] = [
-        {atoms: _realize(sig, atoms, []) for atoms in atom_options}
-    ]
-    level_formulas: list[dict] = [
-        {atoms: _atomic_description(sig, atoms) for atoms in atom_options}
-    ]
-
+    models = [_realize(sig, atoms, []) for atoms in atom_options]
+    formulas = [_atomic_description(sig, atoms) for atoms in atom_options]
+    level_formulas = [tuple(formulas)]
     for level in range(1, depth + 1):
-        prev = level_descs[-1]
-        count_choices = list(product(range(cap + 1), repeat=len(prev)))
-        shapes = [
-            (atoms, combo)
-            for atoms in atom_options
-            for combo in product(count_choices, repeat=len(sig.agents))
-        ]
-        built = []
-        for atoms, combo in shapes:
-            children = [
-                (agent, level_models[level - 1][d])
-                for agent, counts in zip(sig.agents, combo)
-                for d, n in zip(prev, counts)
-                for _ in range(n)
-            ]
-            built.append(_realize(sig, atoms, children))
-        parts = [model.structure for model in built]
-        worlds = _descriptors(disjoint_union(parts), cap, level)
-        descs = [worlds[off + model.point] for off, model in zip(part_offsets(parts), built)]
-        formulas: dict = {}
-        for desc, (atoms, combo) in zip(descs, shapes):
-            conjuncts = [level_formulas[level - 1][desc[0]]]
-            for agent, counts in zip(sig.agents, combo):
-                for d, n in zip(prev, counts):
-                    child_formula = level_formulas[level - 1][d]
-                    conjuncts.extend(_grade_conjuncts(agent, n, cap, child_formula))
-            formulas[desc] = and_all(conjuncts)
-        level_descs.append(sorted(descs))
-        level_models.append(dict(zip(descs, built)))
-        level_formulas.append(formulas)
+        count_choices = list(product(range(cap + 1), repeat=len(models)))
+        built, grades = [], []
+        for atoms in atom_options:
+            for combo in product(count_choices, repeat=len(sig.agents)):
+                children, conjuncts = [], []
+                for agent, counts in zip(sig.agents, combo):
+                    for model, formula, n in zip(models, formulas, counts):
+                        children += [(agent, model)] * n
+                        conjuncts += _grade_conjuncts(agent, n, cap, formula)
+                built.append(_realize(sig, atoms, children))
+                grades.append(conjuncts)
+        pointed = models + built
+        parts = [p.structure for p in pointed]
+        offsets = part_offsets(parts)
+        history = refine_to(disjoint_union(parts), cap, offsets, level)
+        below, here = history.levels[level - 1], history.levels[level]
+        roots = [offset + p.point for offset, p in zip(offsets, pointed)]
+        previous = {below[root]: i for i, root in enumerate(roots[: len(models)])}
+        new = sorted((here[root], below[root], i) for i, root in enumerate(roots[len(models) :]))
+        if len({cls for cls, _, _ in new}) != len(new):
+            raise GradedModalError("catalog entries are not pairwise inequivalent")
+        formulas = [and_all([formulas[previous[b]]] + grades[i]) for _, b, i in new]
+        models = [built[i] for _, _, i in new]
+        level_formulas.append(tuple(formulas))
 
-    final = level_descs[depth]
-    if len(set(final)) != len(final):
-        raise GradedModalError("catalog entries are not pairwise inequivalent")
-    entries = tuple(
-        TypeEntry(i, level_formulas[depth][d], level_models[depth][d])
-        for i, d in enumerate(final)
-    )
-    return TypeCatalog(
-        sig,
-        cap,
-        depth,
-        entries,
-        tuple(tuple(level) for level in level_descs),
-        tuple(
-            tuple(level_formulas[lvl][d] for d in level_descs[lvl])
-            for lvl in range(depth + 1)
-        ),
-    )
+    entries = tuple(TypeEntry(i, f, model) for i, (f, model) in enumerate(zip(formulas, models)))
+    return TypeCatalog(sig, cap, depth, entries, tuple(level_formulas))
 
 
 def normal_form(

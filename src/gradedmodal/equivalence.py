@@ -85,7 +85,6 @@ def _level_keys(m: KripkeStructure, prev: list, cap: Optional[int]) -> list:
     A world's key is its previous label plus, per agent, the sorted
     (label, count) pairs of its successors' previous labels, counts capped
     at ``cap`` (pairs capped to zero dropped) unless ``cap`` is None.
-    Labels may be class ids or nested descriptors alike.
     """
     agents = m.signature.agents
     keys = []
@@ -457,26 +456,3 @@ def relation_is_graded_bisimulation(
                 )
     return RelationCheck(True)
 
-
-def type_descriptor(
-    m: KripkeStructure, world: int, cap: Optional[int], depth: int
-):
-    """Canonical inductive type of a world at the given cap and depth.
-
-    Two worlds (of structures over one signature) get equal descriptors iff
-    they are equivalent at that cap and depth; this is the value-level twin
-    of the refinement classes and is arena-independent.
-    """
-    return _descriptors(m, cap, depth)[world]
-
-
-def _descriptors(m: KripkeStructure, cap: Optional[int], depth: int) -> list:
-    """The type descriptor of every world: ``depth`` levels of nested keys.
-
-    A level-``d`` descriptor is ``(level-(d-1) descriptor, per-agent sorted
-    (child descriptor, capped count) pairs)``; level 0 is the atom tuple.
-    """
-    level = _atom_keys(m)
-    for _ in range(depth):
-        level = _level_keys(m, level, cap)
-    return level

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .equivalence import bounded_equivalence, full_graded_bisimilarity, type_descriptor
+from .equivalence import bounded_equivalence, full_graded_bisimilarity, refine_to
 from .errors import (
     EvaluationError,
     ParseError,
@@ -42,6 +42,7 @@ from .kripke import (
     copies,
     dump_structure,
     is_rooted_treelike,
+    part_offsets,
     unravel,
 )
 from .syntax import (
@@ -552,18 +553,22 @@ class UpgradeReport:
 
 
 def _unravel_size(pointed: PointedStructure, depth: int) -> int:
+    """The world count of the unravelling to ``depth``, counted only until
+    it passes ``UNRAVEL_WORLD_BOUND``."""
     m = pointed.structure
     weights = {pointed.point: 1}
-    total = 0
+    total = m.world_count
     for _ in range(depth):
         total += sum(weights.values())
+        if total > UNRAVEL_WORLD_BOUND:
+            break
         nxt: dict[int, int] = {}
         for u, n in weights.items():
             for agent in m.signature.agents:
                 for v in m.successors(agent, u):
                     nxt[v] = nxt.get(v, 0) + n
         weights = nxt
-    return total + m.world_count
+    return total
 
 
 # Cost guards of the pipeline: the radius at which the restrictions are
@@ -614,10 +619,10 @@ def upgrade_pipeline(
 
     depth = radius + 1
     for side, name in ((a, "left"), (b, "right")):
-        size = _unravel_size(side, depth)
-        if size > UNRAVEL_WORLD_BOUND:
+        if _unravel_size(side, depth) > UNRAVEL_WORLD_BOUND:
             raise ResourceLimitError(
-                f"unravelling the {name} input to depth {depth} needs {size} worlds"
+                f"unravelling the {name} input to depth {depth} needs more than "
+                f"{UNRAVEL_WORLD_BOUND} worlds"
             )
 
     if cap is None:
@@ -850,11 +855,13 @@ def find_cap(q: int, radius: int, sig: Signature, size_bound: int) -> CapSearchR
     the examined rooted trees of depth <= radius within the size bound.
 
     Trees are enumerated canonically, smallest first, and each tree's
-    rank-q type is computed once.  Past ``CAP_SEARCH_BUDGET`` trees the
-    enumeration stops, ``CAP_SEARCH_SAMPLES`` random trees of a fixed seed
-    are mixed in, and the result is flagged non-exhaustive.  This is empirical evidence over the sample only, never
-    a proof: it reports the least cap consistent with the examined
-    structures.
+    rank-q type is computed once; for each cap, one ``refine_to`` run over
+    the disjoint union of all trees groups them by their root's class.
+    Past ``CAP_SEARCH_BUDGET`` trees the enumeration stops,
+    ``CAP_SEARCH_SAMPLES`` random trees of a fixed seed are mixed in, and
+    the result is flagged non-exhaustive.  This is empirical evidence over
+    the sample only, never a proof: it reports the least cap consistent
+    with the examined structures.
     """
     if q < 0 or radius < 0 or size_bound < 1:
         raise ValueError("q, radius must be nonnegative and size_bound positive")
@@ -884,12 +891,17 @@ def find_cap(q: int, radius: int, sig: Signature, size_bound: int) -> CapSearchR
     table: dict = {}
     fo_class = [_fo_type(s, q, table) for s in structures]
 
+    parts = [s.structure for s in structures]
+    offsets = part_offsets(parts)
+    arena = disjoint_union(parts)
+    points = [offset + s.point for offset, s in zip(offsets, structures)]
+
     log: list[CapCounterexample] = []
     for cap in range(0, size_bound + 1):
-        groups: dict = {}
-        for idx, s in enumerate(structures):
-            d = type_descriptor(s.structure, s.point, cap, radius)
-            groups.setdefault(d, []).append(idx)
+        level = refine_to(arena, cap, offsets, radius).levels[radius]
+        groups: dict[int, list[int]] = {}
+        for idx, point in enumerate(points):
+            groups.setdefault(level[point], []).append(idx)
         failures = []
         for members in groups.values():
             classes_seen: dict[int, int] = {}

@@ -330,15 +330,20 @@ def _covered_challenges(ka, kb, u, v, m, cap, agents, tables, budget):
 
 
 def _extract_duplicator(ka, kb, u0, v0, cap, rounds, agents, tables, budget):
+    """The duplicator's answers at every position reached from the start,
+    walked with an explicit stack so no number of rounds exhausts the
+    recursion limit."""
     strategy: dict = {}
-
-    def visit(u, v, m):
-        if (u, v, m) in strategy:
-            return
-        if m == 0:
-            strategy[(u, v, 0)] = {}
-            return
+    stack = [(u0, v0, rounds)]
+    while stack:
+        u, v, m = position = stack.pop()
+        if position in strategy:
+            continue
         moves: dict = {}
+        strategy[position] = moves
+        if m == 0:
+            continue
+        following = []
         for move, _, wins, covered in _covered_challenges(
             ka, kb, u, v, m, cap, agents, tables, budget
         ):
@@ -347,25 +352,24 @@ def _extract_duplicator(ka, kb, u0, v0, cap, rounds, agents, tables, budget):
                 y: next(x for x in move.chosen if wins[x] >> y & 1) for y in response
             }
             moves[move] = DuplicatorMove(response, matches)
-        strategy[(u, v, m)] = moves
-        for move, answer in moves.items():
-            for pick, reply in answer.matches.items():
-                visit(*_oriented(move.side, reply, pick), m - 1)
-
-    visit(u0, v0, rounds)
+            following += [_oriented(move.side, x, y) + (m - 1,) for y, x in matches.items()]
+        stack.extend(reversed(following))
     return strategy
 
 
 def _extract_spoiler(ka, kb, u0, v0, cap, rounds, agents, tables, budget):
+    """The spoiler's plays at every position reached from the start, walked
+    with an explicit stack."""
     strategy: dict = {}
     atom = tables["left"][0]
-
-    def visit(u, v, m):
-        if (u, v, m) in strategy:
-            return
+    stack = [(u0, v0, rounds)]
+    while stack:
+        u, v, m = position = stack.pop()
+        if position in strategy:
+            continue
         if not atom[u] >> v & 1:
-            strategy[(u, v, m)] = None
-            return
+            strategy[position] = None
+            continue
         for move, theirs, _, covered in _covered_challenges(
             ka, kb, u, v, m, cap, agents, tables, budget
         ):
@@ -374,15 +378,14 @@ def _extract_spoiler(ka, kb, u0, v0, cap, rounds, agents, tables, budget):
         else:
             raise AssertionError("spoiler-won position without a winning move")
         picks: dict = {}
+        following = []
         for response in combinations(theirs, len(move.chosen)):
             budget.spend()
             pick = next(p for p in response if p not in covered)
             picks[response] = pick
-            for reply in move.chosen:
-                visit(*_oriented(move.side, reply, pick), m - 1)
-        strategy[(u, v, m)] = SpoilerPlay(move, picks)
-
-    visit(u0, v0, rounds)
+            following += [_oriented(move.side, reply, pick) + (m - 1,) for reply in move.chosen]
+        strategy[position] = SpoilerPlay(move, picks)
+        stack.extend(reversed(following))
     return strategy
 
 
@@ -408,65 +411,73 @@ def verify_strategy(
             for p in ka.signature.props
         )
 
-    def duplicator_holds(u, v, m) -> bool:
+    def duplicator_answers(u, v, m):
+        """The positions the stored answers at (u, v, m) lead to, or None if
+        a spoiler move is unanswered or an answer is illegal."""
         moves = result.strategy.get((u, v, m))
         if moves is None:
-            return False
+            return None
+        following = []
         for agent in agents:
             for side, mine, theirs in _challenges(ka, kb, agent, u, v):
                 for chosen in _spoiler_sets(mine, cap):
                     answer = moves.get(SpoilerMove(side, agent, chosen))
                     if answer is None:
-                        return False
+                        return None
                     response = answer.response
                     distinct = set(response)
                     if not (
                         len(distinct) == len(response) == len(chosen)
                         and distinct.issubset(theirs)
                     ):
-                        return False
+                        return None
                     for pick in response:
                         reply = answer.matches.get(pick)
                         if reply is None or reply not in chosen:
-                            return False
-                        if not holds(*_oriented(side, reply, pick), m - 1):
-                            return False
-        return True
+                            return None
+                        following.append(_oriented(side, reply, pick) + (m - 1,))
+        return following
 
-    def spoiler_wins(u, v, m) -> bool:
+    def spoiler_play(u, v, m):
+        """The positions the stored play at (u, v, m) leads to, or None if
+        there is none or it is illegal."""
         entry = result.strategy.get((u, v, m))
         if not isinstance(entry, SpoilerPlay) or entry.move.agent not in agents:
-            return False
+            return None
         side, agent, chosen = entry.move.side, entry.move.agent, entry.move.chosen
         _, mine, theirs = _challenges(ka, kb, agent, u, v)[0 if side == "left" else 1]
         distinct = set(chosen)
         if not (1 <= len(distinct) == len(chosen) <= cap and distinct.issubset(mine)):
-            return False
+            return None
+        following = []
         # With no legal response the duplicator is stuck and the loop is empty.
         for response in combinations(theirs, len(chosen)):
             pick = entry.picks.get(response)
             if pick is None or pick not in response:
-                return False
-            for reply in chosen:
-                if not holds(*_oriented(side, reply, pick), m - 1):
-                    return False
-        return True
+                return None
+            following += [_oriented(side, reply, pick) + (m - 1,) for reply in chosen]
+        return following
 
-    # Whether the claimed winner wins from (u, v) with m rounds left.
-    # Positions lose a round per move, so none recurs below itself.
-    memo: dict[tuple[int, int, int], bool] = {}
+    # The claimed winner wins iff every position the strategy reaches is won
+    # there: an atomic difference wins for the spoiler, the last round for
+    # the duplicator, and elsewhere the stored move must be legal.
     spoiler_claims = result.winner != DUPLICATOR
-    check = spoiler_wins if spoiler_claims else duplicator_holds
-
-    def holds(u, v, m) -> bool:
-        key = (u, v, m)
-        if key not in memo:
-            if not atom_equal(u, v):
-                memo[key] = spoiler_claims
-            elif m == 0:
-                memo[key] = not spoiler_claims
-            else:
-                memo[key] = check(u, v, m)
-        return memo[key]
-
-    return holds(a.point, b.point, rounds)
+    moves_at = spoiler_play if spoiler_claims else duplicator_answers
+    start = (a.point, b.point, rounds)
+    seen = {start}
+    stack = [start]
+    while stack:
+        u, v, m = stack.pop()
+        equal = atom_equal(u, v)
+        if not equal or m == 0:
+            if spoiler_claims == equal:
+                return False
+            continue
+        following = moves_at(u, v, m)
+        if following is None:
+            return False
+        for position in following:
+            if position not in seen:
+                seen.add(position)
+                stack.append(position)
+    return True

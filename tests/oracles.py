@@ -7,15 +7,18 @@ extracts the strategy exactly as ``solve_game`` does.
 ``naive_fo_q_equivalent`` plays the back-and-forth game without memo,
 re-checking the whole tuple at every position.  ``full_tree_terms``
 enumerates every canonical tree term within the bounds and sorts them.
+``type_descriptors`` gives every world its type as nested refinement keys,
+which need no arena to be compared.
 """
 
 from __future__ import annotations
 
 import itertools
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Optional
 
 from gradedmodal import game
+from gradedmodal.equivalence import _atom_keys, _level_keys
 from gradedmodal.errors import EvaluationError, SignatureError
 from gradedmodal.folink import (
     EdgeAtom,
@@ -41,6 +44,21 @@ from gradedmodal.game import (
     _successor_masks,
 )
 from gradedmodal.kripke import KripkeStructure, PointedStructure, Signature
+
+
+def type_descriptors(m: KripkeStructure, cap: Optional[int], depth: int) -> list:
+    """The type descriptor of every world: ``depth`` levels of nested keys.
+
+    A level-``d`` descriptor is ``(level-(d-1) descriptor, per-agent sorted
+    (child descriptor, capped count) pairs)``; level 0 is the atom tuple.
+    Two worlds of structures over one signature get equal descriptors iff
+    they are equivalent at the cap and depth, and the descriptors sort as
+    the kernel's class ids do.
+    """
+    level = _atom_keys(m)
+    for _ in range(depth):
+        level = _level_keys(m, level, cap)
+    return level
 
 
 def naive_fo_eval(m: KripkeStructure, assignment: Mapping[str, int], formula: FOFormula) -> bool:

@@ -27,9 +27,8 @@ from gradedmodal import (
     normal_form,
     parse_formula,
     satisfies,
-    type_descriptor,
 )
-from gradedmodal.charform import _conjuncts, _size_exceeds, inferred_signature
+from gradedmodal.charform import CATALOG_BUDGET, _conjuncts, _size_exceeds, inferred_signature
 from gradedmodal.syntax import and_all
 
 from helpers import (
@@ -41,6 +40,7 @@ from helpers import (
     random_signature,
     random_structure,
 )
+from oracles import type_descriptors
 
 
 def test_level_zero_is_atomic_description():
@@ -132,12 +132,42 @@ def test_enumerate_types_counts_and_soundness():
                 assert not bounded_equivalence(e.model, other.model, 2, 1)
 
 
+def _descriptor(pointed, cap, depth):
+    return type_descriptors(pointed.structure, cap, depth)[pointed.point]
+
+
 def test_catalog_models_realize_their_descriptors():
     cat = enumerate_types(SIG_AP, 1, 2)
     assert len(cat) == 2 * 2 ** 8
+    ranked = sorted(_descriptor(e.model, 1, 2) for e in cat.entries)
     for e in cat.entries[:40]:
-        desc = type_descriptor(e.model.structure, e.model.point, 1, 2)
-        assert desc == cat.level_descriptors[2][e.type_id]
+        assert _descriptor(e.model, 1, 2) == ranked[e.type_id]
+
+
+def test_catalog_order_matches_oracle_descriptors():
+    """In every catalog within budget over four signatures, with cap and
+    depth at most 2, entry i and the i-th formula of each level belong to
+    the i-th smallest oracle descriptor."""
+    sigs = [Signature(("a",), ()), SIG_AP, Signature(("a", "b"), ()), Signature(("a", "b"), ("p",))]
+    built = 0
+    for sig in sigs:
+        for cap in range(3):
+            ranked = []  # ranked[d]: the descriptors of the depth-d types, in type order
+            for depth in range(3):
+                if _size_exceeds(sig, cap, depth, CATALOG_BUDGET):
+                    break
+                cat = enumerate_types(sig, cap, depth)
+                built += 1
+                descs = [_descriptor(e.model, cap, depth) for e in cat.entries]
+                assert descs == sorted(set(descs))
+                ranked.append(descs)
+                assert cat.level_formulas[depth] == tuple(e.formula for e in cat.entries)
+                for e in cat.entries:
+                    assert satisfies(e.model, e.formula)
+                    for level in range(depth):
+                        index = ranked[level].index(_descriptor(e.model, cap, level))
+                        assert satisfies(e.model, cat.level_formulas[level][index])
+    assert built == 32
 
 
 def test_catalog_mode_consistent_with_entries():
@@ -189,12 +219,12 @@ def test_catalog_guard_agrees_with_exact_size():
 def test_every_structure_matches_exactly_one_type():
     rng = random.Random(17)
     cat = enumerate_types(SIG_AP, 2, 1)
+    ranked = sorted(_descriptor(e.model, 2, 1) for e in cat.entries)
     for _ in range(60):
         m = random_structure(rng, SIG_AP)
         hits = [e.type_id for e in cat.entries if satisfies(m, e.formula)]
         assert len(hits) == 1
-        desc = type_descriptor(m.structure, m.point, 2, 1)
-        assert cat.level_descriptors[1][hits[0]] == desc
+        assert _descriptor(m, 2, 1) == ranked[hits[0]]
 
 
 def test_normal_form_fixtures():

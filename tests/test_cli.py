@@ -54,8 +54,8 @@ def test_equiv_json_round_trips(capsys):
     # the separator re-checks against the referenced inputs
     from gradedmodal import load_structure, parse_formula, satisfies
 
-    a = load_structure(open(_path("fan2.kr")).read())
-    b = load_structure(open(_path("fan3.kr")).read())
+    with open(_path("fan2.kr")) as left, open(_path("fan3.kr")) as right:
+        a, b = load_structure(left.read()), load_structure(right.read())
     f = parse_formula(payload["distinguishing_formula"])
     assert satisfies(a, f) and not satisfies(b, f)
 
@@ -71,6 +71,12 @@ def test_game_trace(capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["winner"] == "spoiler"
+
+
+def test_game_past_the_recursion_limit(capsys):
+    code = run(["game", _path("loop1.kr"), _path("loop1.kr"), "--c", "1", "--l", "1200"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "winner: duplicator"
 
 
 def test_char_and_literal_flag(capsys):

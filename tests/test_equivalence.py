@@ -17,12 +17,12 @@ from gradedmodal import (
     refine_to,
     relation_is_graded_bisimulation,
     solve_game,
-    type_descriptor,
 )
 from gradedmodal.equivalence import RelationViolation, _max_matching
 from gradedmodal.kripke import disjoint_union, part_offsets
 
 from helpers import SIG_A, chain, fan, loop1, random_pair, random_signature, random_structure
+from oracles import type_descriptors
 
 
 def _fan_arena_history(cap):
@@ -241,16 +241,15 @@ def test_cap_zero_is_atom_equivalence():
             assert bool(bounded_equivalence(a, b, 0, depth)) == atoms_equal
 
 
-def test_type_descriptor_matches_refinement():
+def test_oracle_descriptors_match_refinement():
     rng = random.Random(103)
     for _ in range(40):
         a, b = random_pair(rng)
         for cap in (None, 0, 1, 2, 3):
             for depth in range(3):
-                same_desc = type_descriptor(
-                    a.structure, a.point, cap, depth
-                ) == type_descriptor(b.structure, b.point, cap, depth)
-                assert same_desc == bool(bounded_equivalence(a, b, cap, depth))
+                left = type_descriptors(a.structure, cap, depth)[a.point]
+                right = type_descriptors(b.structure, cap, depth)[b.point]
+                assert (left == right) == bool(bounded_equivalence(a, b, cap, depth))
 
 
 def test_count_vector_matches_refinement_key():

@@ -399,16 +399,32 @@ def test_upgrade_searches_cap_when_omitted():
     assert statuses["end-to-end truth values agree"] == "skipped"
 
 
+def _complete_graph() -> PointedStructure:
+    """A 30-world complete ``a``-graph over (a, b; p, q)."""
+    sig = Signature(("a", "b"), ("p", "q"))
+    complete = KripkeStructure(sig, 30, {"a": {(u, v) for u in range(30) for v in range(30)}}, {})
+    return PointedStructure(complete, 0)
+
+
 def test_upgrade_checks_the_unravelling_guard_before_the_cap_search(monkeypatch):
     def no_search(*args):
         raise AssertionError("the cap search ran before the unravelling guard")
 
     monkeypatch.setattr(folink, "find_cap", no_search)
-    sig = Signature(("a", "b"), ("p", "q"))
-    complete = KripkeStructure(sig, 30, {"a": {(u, v) for u in range(30) for v in range(30)}}, {})
-    a = PointedStructure(complete, 0)
-    with pytest.raises(ResourceLimitError, match="left input to depth 8 needs 22624137961"):
+    a = _complete_graph()
+    with pytest.raises(ResourceLimitError, match="left input to depth 8 needs more than 20000"):
         upgrade_pipeline(parse_formula("<a:1> <a:1> <a:1> p"), a, a)
+
+
+def test_unravelling_guard_stops_counting_past_its_bound():
+    # Depth 4,096 over a 30-world complete graph: the exact size has far more
+    # digits than Python formats, so the guard must stop once past the bound.
+    a = _complete_graph()
+    # The 30 worlds, then the root and the first three levels: 27,961 > 20,000.
+    assert folink._unravel_size(a, 4096) == 30 + 1 + 30 + 900 + 27_000
+    message = "left input to depth 4096 needs more than 20000 worlds"
+    with pytest.raises(ResourceLimitError, match=message):
+        upgrade_pipeline(parse_formula("<a:1> " * 12 + "p"), a, a)
 
 
 def test_fo_round_trip():

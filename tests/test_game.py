@@ -23,7 +23,7 @@ from gradedmodal import (
 from gradedmodal import game
 from gradedmodal.game import DUPLICATOR, SPOILER
 
-from helpers import SIG_A, fan, random_pair, related_pair
+from helpers import SIG_A, chain, fan, loop1, random_pair, related_pair
 from oracles import whole_table_solve_game
 
 
@@ -63,6 +63,20 @@ def test_all_solved_games_verify():
         result = solve_game(a, b, cap, rounds)
         assert result.winner in (DUPLICATOR, SPOILER)
         assert verify_strategy(result, a, b)
+
+
+def test_deep_games_are_extracted_and_verified_without_recursion():
+    # Thousands of rounds put every position of the certificate on one path.
+    one = loop1()
+    result = solve_game(one, one, 1, 5000)
+    assert result.winner == DUPLICATOR
+    assert len(result.strategy) == 5001
+    assert verify_strategy(result, one, one)
+    # The spoiler walks the chain to its end, 600 moves deep.
+    result = solve_game(one, chain(600), 1, 601)
+    assert result.winner == SPOILER
+    assert len(result.strategy) == 601
+    assert verify_strategy(result, one, chain(600))
 
 
 def test_corrupted_duplicator_strategy_rejected():
@@ -113,6 +127,22 @@ def test_corrupted_spoiler_strategy_rejected():
     del strategy[key]
     mutant = GameResult(result.winner, result.cap, result.rounds, result.start, strategy)
     assert not verify_strategy(mutant, a, b)
+
+
+def test_certificate_is_checked_past_the_start():
+    from gradedmodal.game import GameResult
+
+    # A claim needs a legal entry at every position it reaches, not only at
+    # the start: dropping any entry one round down must reject it.
+    for a, b, cap in ((fan(2), fan(2), 2), (chain(1), chain(2), 1)):
+        result = solve_game(a, b, cap, 2)
+        deeper = [key for key in result.strategy if key[2] == 1]
+        assert deeper
+        for key in deeper:
+            strategy = dict(result.strategy)
+            del strategy[key]
+            mutant = GameResult(result.winner, result.cap, result.rounds, result.start, strategy)
+            assert not verify_strategy(mutant, a, b)
 
 
 def test_forged_spoiler_challenge_rejected():
