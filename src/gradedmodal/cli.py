@@ -5,8 +5,11 @@ formulas from the command line.  Each handler returns ``(verdict, payload,
 text)`` and prints nothing; ``run`` alone writes the result: one JSON
 document (``payload``) with --json, else ``text``.  Exit codes: 0 =
 true/equivalent, 1 = false/inequivalent, 2 = usage or parse error, 3 =
-resource guard.  Commands that give no verdict return True, so they exit 0
-on success.  All error text goes to stderr.
+resource guard, 4 = internal error.  Commands that give no verdict return
+True, so they exit 0 on success.  ``run`` raises any other exception;
+``main``, the process boundary, maps recursion and memory exhaustion to 3
+and everything else to 4, so no crash exits with a verdict's code.  All
+error text goes to stderr.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+EXIT_INTERNAL = 4
 
 
 def _load(path: str):
@@ -421,7 +425,15 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+    except (RecursionError, MemoryError) as exc:
+        print(f"resource guard: {exc!r}", file=sys.stderr)
+        code = EXIT_GUARD
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        code = EXIT_INTERNAL
+    sys.exit(code)
 
 
 if __name__ == "__main__":

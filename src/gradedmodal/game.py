@@ -131,33 +131,29 @@ class GameResult:
 
 
 class _Budget:
-    __slots__ = ("left",)
+    __slots__ = ("limit", "left")
 
     def __init__(self, limit: int):
-        self.left = limit
+        self.limit = self.left = limit
 
-    def spend(self, amount: int = 1):
-        self.left -= amount
+    def spend(self):
+        self.left -= 1
         if self.left < 0:
-            raise ResourceLimitError("game solving exceeded its step budget")
+            raise ResourceLimitError(
+                f"game solving exceeded its step budget of {self.limit} (game.STEP_BUDGET)"
+            )
 
 
-def _within(m: KripkeStructure, point: int, depth: int) -> list[list[int]]:
-    """``layers[d]`` lists the worlds at most d steps from ``point``, for d up
-    to ``depth``; a step follows any agent's relation."""
-    seen = {point}
-    frontier = [point]
-    layers = [[point]]
+def _layers(m: KripkeStructure, point: int, depth: int) -> list[set[int]]:
+    """``layers[d]`` holds the worlds at the end of a d-step path from
+    ``point``, for d up to ``depth``; a step follows any agent's relation."""
+    layers = [{point}]
     for _ in range(depth):
-        ring = []
-        for u in frontier:
+        ring = set()
+        for u in layers[-1]:
             for agent in m.signature.agents:
-                for v in m.successors(agent, u):
-                    if v not in seen:
-                        seen.add(v)
-                        ring.append(v)
-        frontier = ring
-        layers.append(layers[-1] + ring)
+                ring.update(m.successors(agent, u))
+        layers.append(ring)
     return layers
 
 
@@ -222,65 +218,53 @@ def solve_game(
     duplicator-won position against some member of ``s`` (any such set is a
     valid response, since only covered worlds enter it).
 
-    A position with m rounds left lies rounds - m moves from the start, and
-    a move steps one edge on each side.  So the table with m rounds left is
-    computed only for pairs whose left world is within rounds - m steps of
-    ``a.point`` and whose right world is within rounds - m steps of
-    ``b.point``, along any agent.  Those entries read only entries of the
+    A position with m rounds left lies exactly rounds - m moves from the
+    start, and a move steps one edge on each side.  So the table with m
+    rounds left holds only the pairs whose left world ends a path of
+    rounds - m steps from ``a.point`` and whose right world ends one from
+    ``b.point``, along any agents.  Those entries read only entries of the
     same kind one round down, and strategy extraction reads no others, so
-    the result is that of the whole table, and ``STEP_BUDGET`` counts only
-    the positions reachable within the remaining rounds.
+    the result is that of the whole table, and ``STEP_BUDGET`` counts no
+    pair that lies at the wrong distance from the start.
     """
     if a.signature != b.signature:
         raise SignatureError("the two structures carry different signatures")
     if cap < 0 or rounds < 0:
         raise ValueError("cap and rounds must be nonnegative")
     ka, kb = a.structure, b.structure
-    na, nb = ka.world_count, kb.world_count
     agents = ka.signature.agents
     budget = _Budget(STEP_BUDGET)
 
-    near_a = _within(ka, a.point, rounds)
-    near_b = _within(kb, b.point, rounds)
-    near_b_mask = [sum(1 << v for v in worlds) for worlds in near_b]
-    atom = _atom_masks(ka, kb, near_a[rounds], near_b[rounds])
-    moving = max(rounds - 1, 0)  # the farthest a position with a move left lies
-    succ_a_mask = _successor_masks(ka, near_a[moving])
-    succ_b_mask = _successor_masks(kb, near_b[moving])
+    near_a = _layers(ka, a.point, rounds)
+    near_b = _layers(kb, b.point, rounds)
+    reach_a, reach_b = set().union(*near_a), set().union(*near_b)
+    atom = _atom_masks(ka, kb, reach_a, reach_b)
+    succ_a_mask = _successor_masks(ka, reach_a)
+    succ_b_mask = _successor_masks(kb, reach_b)
 
-    # win[u] = bitmask of right worlds v such that the duplicator wins (u, v)
-    # with the current number of rounds left; winT is its transpose.  Rows
-    # and bits outside the reachable pairs stay 0 and are never read.
-    # tables[side][m] is the table with m rounds left indexed by a world on
-    # that side, so it masks the worlds on the opposite side.
-    win = atom
-    levels = [win]
-    transposes = []
-    for steps in reversed(range(rounds)):  # the new table's distance from the start
-        winT = [0] * nb
-        for u in near_a[steps + 1]:
-            row = win[u]
-            while row:
-                low = row & -row
-                winT[low.bit_length() - 1] |= 1 << u
-                row ^= low
-        transposes.append(winT)
-        new = [0] * na
-        for u in near_a[steps]:
-            mask = 0
-            candidates = atom[u] & near_b_mask[steps]
+    # levels[m][u] is the mask of the right worlds v such that the duplicator
+    # wins (u, v) with m rounds left, for u and v exactly rounds - m steps
+    # from their points; transposes[m] indexes the same wins by v.  With no
+    # round left the duplicator wins every atom-equal pair.
+    levels, transposes = [], []
+    for steps in reversed(range(rounds + 1)):  # the new table's distance from the start
+        win = dict.fromkeys(near_a[steps], 0)
+        winT = dict.fromkeys(near_b[steps], 0)
+        layer_b = sum(1 << v for v in winT)
+        for u in win:
+            candidates = atom[u] & layer_b
             while candidates:
                 low = candidates & -candidates
                 v = low.bit_length() - 1
                 candidates ^= low
-                if _duplicator_survives(
-                    ka, kb, u, v, cap, agents, win, winT,
+                if not levels or _duplicator_survives(
+                    ka, kb, u, v, cap, agents, levels[-1], transposes[-1],
                     succ_a_mask, succ_b_mask, budget,
                 ):
-                    mask |= low
-            new[u] = mask
-        win = new
+                    win[u] |= low
+                    winT[v] |= 1 << u
         levels.append(win)
+        transposes.append(winT)
     tables = {"left": levels, "right": transposes}
 
     dup_wins = bool(levels[rounds][a.point] >> b.point & 1)
@@ -361,13 +345,12 @@ def _extract_spoiler(ka, kb, u0, v0, cap, rounds, agents, tables, budget):
     """The spoiler's plays at every position reached from the start, walked
     with an explicit stack."""
     strategy: dict = {}
-    atom = tables["left"][0]
     stack = [(u0, v0, rounds)]
     while stack:
         u, v, m = position = stack.pop()
         if position in strategy:
             continue
-        if not atom[u] >> v & 1:
+        if ka.props_of(u) != kb.props_of(v):
             strategy[position] = None
             continue
         for move, theirs, _, covered in _covered_challenges(

@@ -8,6 +8,7 @@ import time
 import pytest
 
 import gradedmodal
+from gradedmodal import cli
 from gradedmodal.cli import build_parser, run
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -274,17 +275,51 @@ def test_json_output_contract(name, capsys):
     assert code == (0 if expected else 1)
 
 
-@pytest.mark.parametrize(
-    "formula, code, out",
-    [("<a:3> true", 0, "true\n"), ("<a:4> true", 1, "false\n"), ("<a:0> true", 2, "")],
-)
-def test_process_exit_codes(formula, code, out):
+def _run_process(argv):
     package_root = os.path.dirname(os.path.dirname(gradedmodal.__file__))
-    done = subprocess.run(
-        [sys.executable, "-m", "gradedmodal.cli", "mc", _path("fan3.kr"), formula],
+    return subprocess.run(
+        [sys.executable, "-m", "gradedmodal.cli", *argv],
         env=dict(os.environ, PYTHONPATH=package_root),
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize(
+    "formula, code, out",
+    [("<a:3> true", 0, "true\n"), ("<a:4> true", 1, "false\n"), ("<a:0> true", 2, "")],
+)
+def test_process_exit_codes(formula, code, out):
+    done = _run_process(["mc", _path("fan3.kr"), formula])
     assert (done.returncode, done.stdout) == (code, out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["mc", _path("loop1.kr"), "!" * 3000 + "p"], ["translate", "<a:1> " * 3000 + "p"]],
+    ids=["mc", "translate"],
+)
+def test_process_maps_exhausted_recursion_to_the_guard(argv):
+    # Exit 1 would read as "false": the process reports the guard instead.
+    done = _run_process(argv)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("resource guard: RecursionError")
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix", [(KeyError, 4, "internal error"), (MemoryError, 3, "resource guard")]
+)
+def test_main_maps_a_crash_to_a_non_verdict_exit(monkeypatch, capsys, error, code, prefix):
+    def crash(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_cmd_mc", crash)
+    monkeypatch.setattr(sys, "argv", ["gradedmodal", "mc", _path("fan3.kr"), "true"])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main()
+    assert exit_info.value.code == code
+    assert capsys.readouterr().err.startswith(f"{prefix}: {error.__name__}")
+    # run() itself still raises, so in-process callers see the exception.
+    with pytest.raises(error):
+        run(["mc", _path("fan3.kr"), "true"])

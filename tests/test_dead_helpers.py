@@ -2,6 +2,7 @@
 of a module is used by that module."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gradedmodal"
@@ -24,21 +25,14 @@ def _private_definitions(tree: ast.Module):
                     yield f"{node.name}.{member.name}", member, True
 
 
-def _referenced_names(node: ast.AST, skip: ast.AST = None, attributes_only=False) -> set[str]:
-    """Names read as a bare name (unless ``attributes_only``) or an
-    attribute under ``node``, outside ``skip``."""
-    names = set()
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if current is skip:
-            continue
-        if isinstance(current, ast.Name) and not attributes_only:
-            names.add(current.id)
-        elif isinstance(current, ast.Attribute):
-            names.add(current.attr)
-        stack.extend(ast.iter_child_nodes(current))
-    return names
+def _reads(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``: ``name`` counts reads as
+    a bare name, ``.name`` reads as an attribute."""
+    return Counter(
+        current.id if isinstance(current, ast.Name) else "." + current.attr
+        for current in ast.walk(node)
+        if isinstance(current, (ast.Name, ast.Attribute))
+    )
 
 
 def _package_trees() -> dict[str, ast.Module]:
@@ -50,14 +44,14 @@ def _package_trees() -> dict[str, ast.Module]:
 
 def test_no_dead_private_helpers():
     trees = _package_trees()
+    reads = sum(map(_reads, trees.values()), Counter())
     dead = []
     for module, tree in trees.items():
         for name, definition, attributes_only in _private_definitions(tree):
-            used = set()
-            for other, other_tree in trees.items():
-                skip = definition if other == module else None
-                used |= _referenced_names(other_tree, skip, attributes_only)
-            if definition.name not in used:
+            # Reads inside the definition itself, recursion say, do not count.
+            inside = _reads(definition)
+            keys = ["." + definition.name] + ([] if attributes_only else [definition.name])
+            if all(reads[key] == inside[key] for key in keys):
                 dead.append(f"{module}:{name}")
     assert dead == []
 
@@ -68,13 +62,13 @@ def test_no_unused_imports():
     for module, tree in _package_trees().items():
         if module == "__init__.py":
             continue
-        used = _referenced_names(tree)
+        used = _reads(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
-                    if bound not in used:
+                    if bound not in used and "." + bound not in used:
                         unused.append(f"{module}:{bound}")
     assert unused == []

@@ -51,7 +51,7 @@ def test_signature_mismatch():
 
 def test_budget_guard_is_not_a_verdict(monkeypatch):
     monkeypatch.setattr(game, "STEP_BUDGET", 3)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=r"step budget of 3 \(game\.STEP_BUDGET\)"):
         solve_game(fan(4), fan(4), 3, 2)
 
 
@@ -238,3 +238,27 @@ def test_budget_counts_only_reachable_positions(monkeypatch):
     assert verify_strategy(result, a, b)
     with pytest.raises(ResourceLimitError):
         whole_table_solve_game(a, b, 2, 2)
+    # Against a chain the k-th position of the certificate pairs the loop
+    # with the chain's k-th world only, since no other world ends a k-step
+    # path: each position costs a few steps, never one per chain world.
+    one = loop1()
+    for edges, limit in ((1000, 5000), (10000, 40000)):
+        line = chain(edges)
+        monkeypatch.setattr(game, "STEP_BUDGET", limit)
+        result = solve_game(one, line, 1, edges + 1)
+        assert result.winner == SPOILER
+        assert len(result.strategy) == edges + 1
+        assert verify_strategy(result, one, line)
+
+
+def test_exact_layers_match_the_whole_table(monkeypatch):
+    # The k-step layer of a 30-edge chain is its k-th world alone, while up
+    # to 31 worlds lie within k steps; the certificate is still the whole
+    # table's, and it is found spending a few steps per position.
+    one, line = loop1(), chain(30)
+    oracle = whole_table_solve_game(one, line, 1, 31)
+    monkeypatch.setattr(game, "STEP_BUDGET", 150)
+    result = solve_game(one, line, 1, 31)
+    assert result.winner == oracle.winner == SPOILER
+    assert dict(result.strategy) == dict(oracle.strategy)
+    assert verify_strategy(result, one, line)
