@@ -82,12 +82,7 @@ class KripkeStructure:
                 if not 0 <= w < world_count:
                     raise ValueError(f"world {w} in valuation of {prop!r} out of range")
             norm_val[prop] = worlds
-        succ: dict[str, tuple[tuple[int, ...], ...]] = {}
-        for agent in signature.agents:
-            per_world: list[list[int]] = [[] for _ in range(world_count)]
-            for u, v in norm_edges[agent]:
-                per_world[u].append(v)
-            succ[agent] = tuple(tuple(sorted(vs)) for vs in per_world)
+        succ = {a: _successor_arrays(world_count, norm_edges[a]) for a in signature.agents}
         self._fill(signature, world_count, norm_edges, norm_val, succ)
 
     @classmethod
@@ -176,6 +171,16 @@ class KripkeStructure:
             f"agents={list(self.signature.agents)}, props={list(self.signature.props)}, "
             f"edges={self.edge_count()})"
         )
+
+
+def _successor_arrays(
+    world_count: int, pairs: frozenset[tuple[int, int]]
+) -> tuple[tuple[int, ...], ...]:
+    """Per world, the sorted successors along one agent's validated edge set."""
+    per_world: list[list[int]] = [[] for _ in range(world_count)]
+    for u, v in pairs:
+        per_world[u].append(v)
+    return tuple(map(tuple, map(sorted, per_world)))
 
 
 @dataclass(frozen=True)
@@ -526,25 +531,30 @@ def _realize(sig: Signature, atoms: tuple, children: list[tuple[str, PointedStru
 # ---------------------------------------------------------------------------
 
 
+def _int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {token!r}", line=lineno) from None
+
+
 def load_named_structure(text: str) -> tuple[str, Union[KripkeStructure, PointedStructure]]:
-    """Parse the text format; returns the declared name and the structure."""
+    """Parse the text format; returns the declared name and the structure.
+
+    One pass checks every line once, in file order, so the first failing
+    line is the one reported.  Edges are collected as pairs per agent and
+    the successor arrays are built from them here, not checked again.
+    """
     name = None
     agents: Optional[list[str]] = None
     props: Optional[list[str]] = None
     world_count: Optional[int] = None
-    edges: dict[str, set[tuple[int, int]]] = {}
+    pairs_of: dict[str, list[tuple[int, int]]] = {}
     valuation: dict[str, set[int]] = {}
     point: Optional[int] = None
 
     def fail(msg: str, lineno: int):
         raise ParseError(msg, line=lineno)
-
-    def parse_int(token: str, lineno: int) -> int:
-        try:
-            return int(token)
-        except ValueError:
-            fail(f"expected an integer, got {token!r}", lineno)
-            raise AssertionError  # unreachable
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -562,52 +572,68 @@ def load_named_structure(text: str) -> tuple[str, Union[KripkeStructure, Pointed
         if not sep:
             fail(f"malformed line {line!r}", lineno)
         key = key.strip()
+        if key.startswith("edge "):
+            agent = key[len("edge "):].strip()
+            pairs = pairs_of.get(agent)
+            if pairs is None or world_count is None:
+                if agents is None or world_count is None:
+                    fail("'edge' lines require 'agents' and 'worlds' first", lineno)
+                fail(f"unknown agent {agent!r}", lineno)
+            fields = rest.split()
+            if len(fields) != 2:
+                fail("'edge' takes exactly two worlds", lineno)
+            try:
+                u = int(fields[0])
+                v = int(fields[1])
+            except ValueError:
+                # Convert again through the checked path, which names the
+                # first token that is not an integer.
+                u, v = _int(fields[0], lineno), _int(fields[1], lineno)
+            if not (0 <= u < world_count and 0 <= v < world_count):
+                fail(f"edge ({u},{v}) out of range", lineno)
+            pairs.append((u, v))
+            continue
         fields = rest.split()
         if key == "agents":
             if agents is not None:
                 fail("duplicate 'agents' line", lineno)
+            if len(set(fields)) != len(fields):
+                fail(f"duplicate agent names in {tuple(fields)!r}", lineno)
             agents = fields
+            pairs_of = {agent: [] for agent in agents}
         elif key == "props":
             if props is not None:
                 fail("duplicate 'props' line", lineno)
+            if len(set(fields)) != len(fields):
+                fail(f"duplicate proposition names in {tuple(fields)!r}", lineno)
             props = fields
         elif key == "worlds":
             if world_count is not None:
                 fail("duplicate 'worlds' line", lineno)
             if len(fields) != 1:
                 fail("'worlds' takes exactly one number", lineno)
-            world_count = parse_int(fields[0], lineno)
+            world_count = _int(fields[0], lineno)
             if world_count < 1:
                 fail("structures must have at least one world", lineno)
-        elif key.startswith("edge "):
-            agent = key[len("edge "):].strip()
-            if agents is None or world_count is None:
-                fail("'edge' lines require 'agents' and 'worlds' first", lineno)
-            if agent not in agents:
-                fail(f"unknown agent {agent!r}", lineno)
-            if len(fields) != 2:
-                fail("'edge' takes exactly two worlds", lineno)
-            u, v = (parse_int(t, lineno) for t in fields)
-            if not (0 <= u < world_count and 0 <= v < world_count):
-                fail(f"edge ({u},{v}) out of range", lineno)
-            edges.setdefault(agent, set()).add((u, v))
         elif key.startswith("prop "):
             prop = key[len("prop "):].strip()
             if props is None or world_count is None:
                 fail("'prop' lines require 'props' and 'worlds' first", lineno)
             if prop not in props:
                 fail(f"unknown proposition {prop!r}", lineno)
-            ws = [parse_int(t, lineno) for t in fields]
+            ws = [_int(t, lineno) for t in fields]
             for w in ws:
                 if not 0 <= w < world_count:
                     fail(f"world {w} out of range", lineno)
             valuation.setdefault(prop, set()).update(ws)
         elif key == "point":
+            if point is not None:
+                fail("duplicate 'point' line", lineno)
             if world_count is None:
                 fail("'point' requires 'worlds' first", lineno)
             if len(fields) != 1:
                 fail("'point' takes exactly one world", lineno)
-            point = parse_int(fields[0], lineno)
+            point = _int(fields[0], lineno)
             if not 0 <= point < world_count:
                 fail(f"point {point} out of range", lineno)
         else:
@@ -618,7 +644,14 @@ def load_named_structure(text: str) -> tuple[str, Union[KripkeStructure, Pointed
     if world_count is None:
         raise ParseError("missing 'worlds' line", line=1)
     sig = Signature(tuple(agents or ()), tuple(props or ()))
-    m = KripkeStructure(sig, world_count, edges, valuation)
+    edges = {a: frozenset(pairs_of[a]) for a in sig.agents}
+    m = KripkeStructure._assemble(
+        sig,
+        world_count,
+        edges,
+        {p: frozenset(valuation.get(p, ())) for p in sig.props},
+        {a: _successor_arrays(world_count, edges[a]) for a in sig.agents},
+    )
     if point is None:
         return name, m
     return name, PointedStructure(m, point)

@@ -8,18 +8,22 @@ extracts the strategy exactly as ``solve_game`` does.
 re-checking the whole tuple at every position.  ``full_tree_terms``
 enumerates every canonical tree term within the bounds and sorts them.
 ``type_descriptors`` gives every world its type as nested refinement keys,
-which need no arena to be compared.
+which need no arena to be compared.  ``load_named_structure`` is the
+two-pass structure reader: it collects edges as sets and lets
+``KripkeStructure.__init__`` convert and range-check them a second time.
+It accepts a repeated ``point:`` line (the last wins) and reports duplicate
+agent or proposition names as a ``SignatureError`` with no line.
 """
 
 from __future__ import annotations
 
 import itertools
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Union
 
 from gradedmodal import game
 from gradedmodal.equivalence import _atom_keys, _level_keys
-from gradedmodal.errors import EvaluationError, SignatureError
+from gradedmodal.errors import EvaluationError, ParseError, SignatureError
 from gradedmodal.folink import (
     EdgeAtom,
     Eq,
@@ -253,3 +257,101 @@ def full_tree_terms(sig: Signature, depth: int, size_bound: int) -> list:
         terms_by_depth.append(unique)
 
     return sorted(terms_by_depth[depth], key=lambda t: (sizes[t], t))
+
+
+def load_named_structure(text: str) -> tuple[str, Union[KripkeStructure, PointedStructure]]:
+    """Parse the text format; returns the declared name and the structure."""
+    name = None
+    agents: Optional[list[str]] = None
+    props: Optional[list[str]] = None
+    world_count: Optional[int] = None
+    edges: dict[str, set[tuple[int, int]]] = {}
+    valuation: dict[str, set[int]] = {}
+    point: Optional[int] = None
+
+    def fail(msg: str, lineno: int):
+        raise ParseError(msg, line=lineno)
+
+    def parse_int(token: str, lineno: int) -> int:
+        try:
+            return int(token)
+        except ValueError:
+            fail(f"expected an integer, got {token!r}", lineno)
+            raise AssertionError  # unreachable
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if name is None:
+            head, _, rest = line.partition(" ")
+            if head != "structure" or not rest.strip():
+                fail("expected 'structure <name>' as the first directive", lineno)
+            name = rest.strip()
+            continue
+        if line.startswith("structure "):
+            fail("multiple 'structure' blocks are not supported", lineno)
+        key, sep, rest = line.partition(":")
+        if not sep:
+            fail(f"malformed line {line!r}", lineno)
+        key = key.strip()
+        fields = rest.split()
+        if key == "agents":
+            if agents is not None:
+                fail("duplicate 'agents' line", lineno)
+            agents = fields
+        elif key == "props":
+            if props is not None:
+                fail("duplicate 'props' line", lineno)
+            props = fields
+        elif key == "worlds":
+            if world_count is not None:
+                fail("duplicate 'worlds' line", lineno)
+            if len(fields) != 1:
+                fail("'worlds' takes exactly one number", lineno)
+            world_count = parse_int(fields[0], lineno)
+            if world_count < 1:
+                fail("structures must have at least one world", lineno)
+        elif key.startswith("edge "):
+            agent = key[len("edge "):].strip()
+            if agents is None or world_count is None:
+                fail("'edge' lines require 'agents' and 'worlds' first", lineno)
+            if agent not in agents:
+                fail(f"unknown agent {agent!r}", lineno)
+            if len(fields) != 2:
+                fail("'edge' takes exactly two worlds", lineno)
+            u, v = (parse_int(t, lineno) for t in fields)
+            if not (0 <= u < world_count and 0 <= v < world_count):
+                fail(f"edge ({u},{v}) out of range", lineno)
+            edges.setdefault(agent, set()).add((u, v))
+        elif key.startswith("prop "):
+            prop = key[len("prop "):].strip()
+            if props is None or world_count is None:
+                fail("'prop' lines require 'props' and 'worlds' first", lineno)
+            if prop not in props:
+                fail(f"unknown proposition {prop!r}", lineno)
+            ws = [parse_int(t, lineno) for t in fields]
+            for w in ws:
+                if not 0 <= w < world_count:
+                    fail(f"world {w} out of range", lineno)
+            valuation.setdefault(prop, set()).update(ws)
+        elif key == "point":
+            if world_count is None:
+                fail("'point' requires 'worlds' first", lineno)
+            if len(fields) != 1:
+                fail("'point' takes exactly one world", lineno)
+            point = parse_int(fields[0], lineno)
+            if not 0 <= point < world_count:
+                fail(f"point {point} out of range", lineno)
+        else:
+            fail(f"unknown directive {key!r}", lineno)
+
+    if name is None:
+        raise ParseError("empty input: no 'structure' directive", line=1)
+    if world_count is None:
+        raise ParseError("missing 'worlds' line", line=1)
+    sig = Signature(tuple(agents or ()), tuple(props or ()))
+    m = KripkeStructure(sig, world_count, edges, valuation)
+    if point is None:
+        return name, m
+    return name, PointedStructure(m, point)

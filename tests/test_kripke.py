@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gradedmodal import (
     KripkeStructure,
@@ -21,6 +23,7 @@ from gradedmodal import (
 from gradedmodal.kripke import load_named_structure, part_offsets
 
 from helpers import SIG_A, chain, fan, loop1, random_signature, random_structure
+from oracles import load_named_structure as two_pass_load
 
 
 def test_signature_rejects_duplicates_and_empties():
@@ -278,6 +281,9 @@ def test_text_format_round_trip():
         name, back = load_named_structure(text)
         assert name == "case"
         assert back == m
+        for agent in sig.agents:
+            for w in m.structure.worlds():
+                assert back.structure.successors(agent, w) == m.structure.successors(agent, w)
         assert dump_structure(back, name="case") == text
 
 
@@ -290,6 +296,121 @@ def test_text_format_errors_carry_line_numbers():
     with pytest.raises(ParseError) as info:
         load_structure("structure x\nworlds: 0\n")
     assert info.value.line == 2
+    with pytest.raises(ParseError) as info:
+        load_structure("structure x\nagents: a\nworlds: 2\nedge a: x y\n")
+    assert str(info.value) == "expected an integer, got 'x' (line 4)"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "structure x\nagents: a\nworlds: 2\npoint: 0\npoint: 1\n",
+            "duplicate 'point' line (line 5)",
+        ),
+        (
+            "structure x\nagents: a a\nworlds: 2\nedge b: 0 1\n",
+            "duplicate agent names in ('a', 'a') (line 2)",
+        ),
+        (
+            "structure x\nagents: a\nprops: p q p\nworlds: x\n",
+            "duplicate proposition names in ('p', 'q', 'p') (line 3)",
+        ),
+    ],
+)
+def test_repeated_declarations_fail_at_their_line(text, message):
+    # The point used to be overwritten by the last line, and duplicate names
+    # surfaced only as a SignatureError with no line after the whole file.
+    with pytest.raises(ParseError) as info:
+        load_structure(text)
+    assert str(info.value) == message
+
+
+_TOKENS = ("x", "-1", "0", "1", "2", "5", "99", "1.5", "+1", "\u0663", "a", "b", "p", "q", "edge", ":")
+_DIRECTIVES = ("colour: 1", "edges a: 0 1", "Agents: a", "point 0", "worlds 3", "structure y")
+
+_mutation = st.one_of(
+    st.tuples(st.just("drop"), st.integers(0, 99), st.integers(0, 9)),
+    st.tuples(st.just("insert"), st.integers(0, 99), st.integers(0, 9), st.sampled_from(_TOKENS)),
+    st.tuples(st.just("replace"), st.integers(0, 99), st.integers(0, 9), st.sampled_from(_TOKENS)),
+    st.tuples(st.just("repeat"), st.integers(0, 99), st.integers(0, 99)),
+    st.tuples(st.just("delete"), st.integers(0, 99)),
+    st.tuples(st.just("swap"), st.integers(0, 99), st.integers(0, 99)),
+    st.tuples(st.just("unknown"), st.integers(0, 99), st.sampled_from(_DIRECTIVES)),
+)
+
+
+def _mutate(lines: list[str], mutation) -> None:
+    kind, at = mutation[0], mutation[1] % len(lines)
+    tokens = lines[at].split()
+    if kind == "drop" and tokens:
+        del tokens[mutation[2] % len(tokens)]
+        lines[at] = " ".join(tokens)
+    elif kind == "insert":
+        tokens.insert(mutation[2] % (len(tokens) + 1), mutation[3])
+        lines[at] = " ".join(tokens)
+    elif kind == "replace" and tokens:
+        tokens[mutation[2] % len(tokens)] = mutation[3]
+        lines[at] = " ".join(tokens)
+    elif kind == "repeat":
+        lines.insert(mutation[2] % (len(lines) + 1), lines[at])
+    elif kind == "delete" and len(lines) > 1:
+        del lines[at]
+    elif kind == "swap":
+        j = mutation[2] % len(lines)
+        lines[at], lines[j] = lines[j], lines[at]
+    elif kind == "unknown":
+        lines.insert(at, mutation[2])
+
+
+def _hits_a_fixed_duplicate(text: str) -> bool:
+    """Whether ``text`` repeats a ``point`` line or a name on a declaration
+    line, the two cases where the loader now differs from the oracle."""
+    points = 0
+    for raw in text.splitlines():
+        key, _, rest = raw.split("#", 1)[0].strip().partition(":")
+        key, fields = key.strip(), rest.split()
+        points += key == "point"
+        if key in ("agents", "props") and len(set(fields)) != len(fields):
+            return True
+    return points > 1
+
+
+def _outcome(load, text):
+    try:
+        name, value = load(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line)
+    m = getattr(value, "structure", value)
+    return (name, m, m._succ, getattr(value, "point", None))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pointed=st.booleans(),
+    mutations=st.lists(_mutation, max_size=3),
+    comment_every=st.integers(0, 3),
+    blank_lines=st.booleans(),
+    crlf=st.booleans(),
+    tabs=st.booleans(),
+)
+def test_loader_matches_the_two_pass_oracle(seed, pointed, mutations, comment_every, blank_lines, crlf, tabs):
+    rng = random.Random(seed)
+    m = random_structure(rng, random_signature(rng), max_worlds=5)
+    lines = dump_structure(m if pointed else m.structure, name="case").splitlines()
+    for mutation in mutations:
+        _mutate(lines, mutation)
+    if comment_every:
+        lines = [f"{line}  # note {i}" if i % comment_every == 0 else line for i, line in enumerate(lines)]
+        lines.insert(comment_every, "# a comment line")
+    if blank_lines:
+        lines = [part for line in lines for part in (line, "")]
+    if tabs:
+        lines = ["\t" + line.replace(" ", " \t") for line in lines]
+    text = ("\r\n" if crlf else "\n").join(lines) + "\n"
+    assume(not _hits_a_fixed_duplicate(text))
+    assert _outcome(load_named_structure, text) == _outcome(two_pass_load, text)
 
 
 def test_part_offsets():
