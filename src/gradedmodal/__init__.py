@@ -39,6 +39,7 @@ from .syntax import (
     Top,
     counting_rank,
     format_formula,
+    format_formulas,
     in_fragment,
     nesting_depth,
     parse_formula,

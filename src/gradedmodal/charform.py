@@ -41,6 +41,7 @@ from .syntax import (
     _require_formula,
     and_all,
     format_formula,
+    format_formulas,
     in_fragment,
     nesting_depth,
     or_all,
@@ -319,13 +320,14 @@ def distinguishing_formula(
     """
     if bounded_equivalence(a, b, cap, depth):
         return None
-    chi = characteristic_formula(a, cap, depth)
+    conjuncts = _conjuncts(characteristic_formula(a, cap, depth))
+    printed = dict(zip(conjuncts, format_formulas(conjuncts)))
     candidates = sorted(
-        _conjuncts(chi),
+        conjuncts,
         key=lambda f: (
             0 if isinstance(f, Not) else 1,
             -nesting_depth(f),
-            format_formula(f),
+            printed[f],
         ),
     )
     for conjunct in candidates:

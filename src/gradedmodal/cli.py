@@ -15,6 +15,7 @@ error text goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(handler=func.__name__)
         p.add_argument("--json", action="store_true", help="emit one JSON document")
         return p
 
@@ -406,14 +407,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code.
+
+    The parser is built once per process, on the first call.  A subcommand
+    names its handler, which is looked up in this module's namespace by
+    that name on every call, so a handler replaced after the parser was
+    built is the one that runs.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else EXIT_TRUE
     try:
-        verdict, payload, text = args.func(args)
+        verdict, payload, text = globals()[args.handler](args)
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -294,29 +294,39 @@ def _duplicator_survives(
     return True
 
 
-def _covered_challenges(ka, kb, u, v, m, cap, agents, tables, budget):
-    """Every spoiler challenge at (u, v, m), agent by agent, left before right.
+def _covers(ka, kb, u, v, m, cap, agents, tables, budget):
+    """Every spoiler challenge at (u, v, m), agent by agent, left before
+    right, spending one step on each.
 
-    Yields the move, the duplicator's successors, the table of duplicator
-    wins with m - 1 rounds left indexed by the challenged side, and the
-    duplicator's successors that win against some challenged world.
+    Yields the side, the agent, the chosen set, the duplicator's
+    successors, the rows and the cover.  The rows are computed once per
+    agent and side: per spoiler successor x, the mask of the duplicator's
+    successors that win against x with m - 1 rounds left.  The cover is
+    the union of the chosen worlds' rows.
     """
     for agent in agents:
         for side, mine, theirs in _challenges(ka, kb, agent, u, v):
             wins = tables[side][m - 1]
+            theirs_mask = 0
+            for y in theirs:
+                theirs_mask |= 1 << y
+            rows = {x: wins[x] & theirs_mask for x in mine}
             for chosen in _spoiler_sets(mine, cap):
                 budget.spend()
                 cover = 0
                 for x in chosen:
-                    cover |= wins[x]
-                covered = [y for y in theirs if cover >> y & 1]
-                yield SpoilerMove(side, agent, chosen), theirs, wins, covered
+                    cover |= rows[x]
+                yield side, agent, chosen, theirs, rows, cover
 
 
 def _extract_duplicator(ka, kb, u0, v0, cap, rounds, agents, tables, budget):
     """The duplicator's answers at every position reached from the start,
     walked with an explicit stack so no number of rounds exhausts the
-    recursion limit."""
+    recursion limit.
+
+    The response to a challenge is its |chosen| lowest covered successors,
+    and each of them is matched with the first chosen world it wins against.
+    """
     strategy: dict = {}
     stack = [(u0, v0, rounds)]
     while stack:
@@ -328,22 +338,31 @@ def _extract_duplicator(ka, kb, u0, v0, cap, rounds, agents, tables, budget):
         if m == 0:
             continue
         following = []
-        for move, _, wins, covered in _covered_challenges(
+        for side, agent, chosen, _, rows, cover in _covers(
             ka, kb, u, v, m, cap, agents, tables, budget
         ):
-            response = tuple(covered[: len(move.chosen)])
-            matches = {
-                y: next(x for x in move.chosen if wins[x] >> y & 1) for y in response
-            }
-            moves[move] = DuplicatorMove(response, matches)
-            following += [_oriented(move.side, x, y) + (m - 1,) for y, x in matches.items()]
+            matches = {}
+            for _ in chosen:
+                low = cover & -cover
+                cover ^= low
+                for x in chosen:
+                    if rows[x] & low:
+                        break
+                y = low.bit_length() - 1
+                matches[y] = x
+                following.append(_oriented(side, x, y) + (m - 1,))
+            moves[SpoilerMove(side, agent, chosen)] = DuplicatorMove(tuple(matches), matches)
         stack.extend(reversed(following))
     return strategy
 
 
 def _extract_spoiler(ka, kb, u0, v0, cap, rounds, agents, tables, budget):
     """The spoiler's plays at every position reached from the start, walked
-    with an explicit stack."""
+    with an explicit stack.
+
+    The play is the first challenge whose cover is smaller than the chosen
+    set; against every response the pick is its first uncovered world.
+    """
     strategy: dict = {}
     stack = [(u0, v0, rounds)]
     while stack:
@@ -353,21 +372,21 @@ def _extract_spoiler(ka, kb, u0, v0, cap, rounds, agents, tables, budget):
         if ka.props_of(u) != kb.props_of(v):
             strategy[position] = None
             continue
-        for move, theirs, _, covered in _covered_challenges(
+        for side, agent, chosen, theirs, _, cover in _covers(
             ka, kb, u, v, m, cap, agents, tables, budget
         ):
-            if len(covered) < len(move.chosen):
+            if cover.bit_count() < len(chosen):
                 break
         else:
             raise AssertionError("spoiler-won position without a winning move")
         picks: dict = {}
         following = []
-        for response in combinations(theirs, len(move.chosen)):
+        for response in combinations(theirs, len(chosen)):
             budget.spend()
-            pick = next(p for p in response if p not in covered)
+            pick = next(p for p in response if not cover >> p & 1)
             picks[response] = pick
-            following += [_oriented(move.side, reply, pick) + (m - 1,) for reply in move.chosen]
-        strategy[position] = SpoilerPlay(move, picks)
+            following += [_oriented(side, reply, pick) + (m - 1,) for reply in chosen]
+        strategy[position] = SpoilerPlay(SpoilerMove(side, agent, chosen), picks)
         stack.extend(reversed(following))
     return strategy
 
@@ -400,19 +419,23 @@ def verify_strategy(
         moves = result.strategy.get((u, v, m))
         if moves is None:
             return None
+        # Only a SpoilerMove key can equal the SpoilerMove of a lookup.
+        answers = {
+            (move.side, move.agent, move.chosen): answer
+            for move, answer in moves.items()
+            if type(move) is SpoilerMove
+        }
         following = []
         for agent in agents:
             for side, mine, theirs in _challenges(ka, kb, agent, u, v):
+                legal = set(theirs)
                 for chosen in _spoiler_sets(mine, cap):
-                    answer = moves.get(SpoilerMove(side, agent, chosen))
+                    answer = answers.get((side, agent, chosen))
                     if answer is None:
                         return None
                     response = answer.response
                     distinct = set(response)
-                    if not (
-                        len(distinct) == len(response) == len(chosen)
-                        and distinct.issubset(theirs)
-                    ):
+                    if not (len(distinct) == len(response) == len(chosen) and distinct <= legal):
                         return None
                     for pick in response:
                         reply = answer.matches.get(pick)
@@ -428,6 +451,8 @@ def verify_strategy(
         if not isinstance(entry, SpoilerPlay) or entry.move.agent not in agents:
             return None
         side, agent, chosen = entry.move.side, entry.move.agent, entry.move.chosen
+        if side not in ("left", "right"):
+            return None
         _, mine, theirs = _challenges(ka, kb, agent, u, v)[0 if side == "left" else 1]
         distinct = set(chosen)
         if not (1 <= len(distinct) == len(chosen) <= cap and distinct.issubset(mine)):

@@ -48,7 +48,8 @@ class KripkeStructure:
     """
 
     __slots__ = (
-        "signature", "world_count", "edges", "valuation", "_succ", "_pred", "_adj", "_hash"
+        "signature", "world_count", "edges", "valuation", "_succ", "_pred", "_adj", "_atoms",
+        "_hash",
     )
 
     def __init__(
@@ -107,6 +108,7 @@ class KripkeStructure:
         self._succ = succ
         self._pred = None
         self._adj = None
+        self._atoms = None
         self._hash = None
 
     def worlds(self) -> range:
@@ -144,7 +146,18 @@ class KripkeStructure:
         return self._adj
 
     def props_of(self, world: int) -> tuple[str, ...]:
-        return tuple(p for p in self.signature.props if world in self.valuation[p])
+        """The propositions true at ``world``, in signature order; the tuples
+        of all worlds are built on first use, one object per distinct tuple."""
+        if self._atoms is None:
+            per_world: list[list[str]] = [[] for _ in range(self.world_count)]
+            for prop in self.signature.props:
+                for w in self.valuation[prop]:
+                    per_world[w].append(prop)
+            distinct: dict[tuple[str, ...], tuple[str, ...]] = {}
+            self._atoms = tuple(distinct.setdefault(t, t) for t in map(tuple, per_world))
+        if not 0 <= world < self.world_count:
+            raise ValueError(f"world {world} out of range")
+        return self._atoms[world]
 
     def edge_count(self) -> int:
         return sum(len(pairs) for pairs in self.edges.values())

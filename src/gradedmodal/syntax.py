@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -291,11 +292,12 @@ def parse_formula(text: str) -> Formula:
     return result
 
 
-def _shared_nodes(formula: Formula) -> set[Formula]:
-    """Nodes that occur as a child more than once in the formula's DAG."""
-    seen = {formula}
+def _shared_nodes(formulas: Sequence[Formula]) -> set[Formula]:
+    """Nodes that occur as a child more than once in the formulas' combined
+    DAG, or as a child and as one of the formulas."""
+    seen = set(formulas)
     shared = set()
-    stack = [formula]
+    stack = list(seen)
     while stack:
         for child in _children(stack.pop()):
             if child in seen:
@@ -306,13 +308,12 @@ def _shared_nodes(formula: Formula) -> set[Formula]:
     return shared
 
 
-def format_formula(formula: Formula) -> str:
-    """Concrete syntax in core form; ``parse_formula`` inverts it.
-
-    The text of a node that occurs more than once is built once.
-    """
-    _require_formula(formula)
-    shared = _shared_nodes(formula)
+def format_formulas(formulas: Sequence[Formula]) -> list[str]:
+    """``[format_formula(f) for f in formulas]``, printing each node that
+    occurs more than once across all of them only once."""
+    for formula in formulas:
+        _require_formula(formula)
+    shared = _shared_nodes(formulas)
     memo: dict[Formula, str] = {}
 
     def text(f: Formula) -> str:
@@ -336,7 +337,15 @@ def format_formula(formula: Formula) -> str:
             memo[f] = out
         return out
 
-    return text(formula)
+    return list(map(text, formulas))
+
+
+def format_formula(formula: Formula) -> str:
+    """Concrete syntax in core form; ``parse_formula`` inverts it.
+
+    The text of a node that occurs more than once is built once.
+    """
+    return format_formulas((formula,))[0]
 
 
 def nesting_depth(formula: Formula) -> int:

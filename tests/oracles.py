@@ -3,7 +3,15 @@
 ``naive_fo_eval`` quantifies over every world and checks symbols only when
 an atom is reached.  ``whole_table_solve_game`` fills the duplicator's win
 table for every pair of worlds and every number of rounds left, then
-extracts the strategy exactly as ``solve_game`` does.
+extracts the strategy with ``covering_extract_duplicator`` or
+``covering_extract_spoiler``.  These walk every spoiler set through
+``covered_challenges``, which builds a ``SpoilerMove`` and the list of
+covered duplicator successors for each set, and read the duplicator's
+matches off the win table once per response world.
+``rebuilding_verify_strategy`` replays a certificate building a new
+``SpoilerMove`` for every lookup; it takes any spoiler side other than
+``"left"`` for ``"right"``.  ``print_ranked_distinguishing_formula`` ranks
+the conjuncts of the characteristic formula printing each one on its own.
 ``naive_fo_q_equivalent`` plays the back-and-forth game without memo,
 re-checking the whole tuple at every position.  ``full_tree_terms``
 enumerates every canonical tree term within the bounds and sorts them.
@@ -18,11 +26,13 @@ agent or proposition names as a ``SignatureError`` with no line.
 from __future__ import annotations
 
 import itertools
+from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
 from gradedmodal import game
-from gradedmodal.equivalence import _atom_keys, _level_keys
+from gradedmodal.charform import _conjuncts, characteristic_formula
+from gradedmodal.equivalence import _atom_keys, _level_keys, bounded_equivalence
 from gradedmodal.errors import EvaluationError, ParseError, SignatureError
 from gradedmodal.folink import (
     EdgeAtom,
@@ -38,16 +48,22 @@ from gradedmodal.folink import (
 from gradedmodal.game import (
     DUPLICATOR,
     SPOILER,
+    DuplicatorMove,
     GamePosition,
     GameResult,
+    SpoilerMove,
+    SpoilerPlay,
     _atom_masks,
     _Budget,
+    _challenges,
     _duplicator_survives,
-    _extract_duplicator,
-    _extract_spoiler,
+    _oriented,
+    _spoiler_sets,
     _successor_masks,
 )
 from gradedmodal.kripke import KripkeStructure, PointedStructure, Signature
+from gradedmodal.semantics import satisfies
+from gradedmodal.syntax import Formula, Not, format_formula, nesting_depth
 
 
 def type_descriptors(m: KripkeStructure, cap: Optional[int], depth: int) -> list:
@@ -165,7 +181,7 @@ def whole_table_solve_game(
     dup_wins = bool(levels[rounds][a.point] >> b.point & 1)
     winner = DUPLICATOR if dup_wins else SPOILER
     start = GamePosition(a.point, b.point, rounds)
-    extract = _extract_duplicator if dup_wins else _extract_spoiler
+    extract = covering_extract_duplicator if dup_wins else covering_extract_spoiler
     strategy = extract(ka, kb, a.point, b.point, cap, rounds, agents, tables, budget)
     return GameResult(winner, cap, rounds, start, MappingProxyType(strategy))
 
@@ -355,3 +371,197 @@ def load_named_structure(text: str) -> tuple[str, Union[KripkeStructure, Pointed
     if point is None:
         return name, m
     return name, PointedStructure(m, point)
+
+
+def covered_challenges(ka, kb, u, v, m, cap, agents, tables, budget):
+    """Every spoiler challenge at (u, v, m), agent by agent, left before right.
+
+    Yields the move, the duplicator's successors, the table of duplicator
+    wins with m - 1 rounds left indexed by the challenged side, and the
+    duplicator's successors that win against some challenged world.
+    """
+    for agent in agents:
+        for side, mine, theirs in _challenges(ka, kb, agent, u, v):
+            wins = tables[side][m - 1]
+            for chosen in _spoiler_sets(mine, cap):
+                budget.spend()
+                cover = 0
+                for x in chosen:
+                    cover |= wins[x]
+                covered = [y for y in theirs if cover >> y & 1]
+                yield SpoilerMove(side, agent, chosen), theirs, wins, covered
+
+
+def covering_extract_duplicator(ka, kb, u0, v0, cap, rounds, agents, tables, budget):
+    """The duplicator's answers at every position reached from the start,
+    walked with an explicit stack so no number of rounds exhausts the
+    recursion limit."""
+    strategy: dict = {}
+    stack = [(u0, v0, rounds)]
+    while stack:
+        u, v, m = position = stack.pop()
+        if position in strategy:
+            continue
+        moves: dict = {}
+        strategy[position] = moves
+        if m == 0:
+            continue
+        following = []
+        for move, _, wins, covered in covered_challenges(
+            ka, kb, u, v, m, cap, agents, tables, budget
+        ):
+            response = tuple(covered[: len(move.chosen)])
+            matches = {
+                y: next(x for x in move.chosen if wins[x] >> y & 1) for y in response
+            }
+            moves[move] = DuplicatorMove(response, matches)
+            following += [_oriented(move.side, x, y) + (m - 1,) for y, x in matches.items()]
+        stack.extend(reversed(following))
+    return strategy
+
+
+def covering_extract_spoiler(ka, kb, u0, v0, cap, rounds, agents, tables, budget):
+    """The spoiler's plays at every position reached from the start, walked
+    with an explicit stack."""
+    strategy: dict = {}
+    stack = [(u0, v0, rounds)]
+    while stack:
+        u, v, m = position = stack.pop()
+        if position in strategy:
+            continue
+        if ka.props_of(u) != kb.props_of(v):
+            strategy[position] = None
+            continue
+        for move, theirs, _, covered in covered_challenges(
+            ka, kb, u, v, m, cap, agents, tables, budget
+        ):
+            if len(covered) < len(move.chosen):
+                break
+        else:
+            raise AssertionError("spoiler-won position without a winning move")
+        picks: dict = {}
+        following = []
+        for response in combinations(theirs, len(move.chosen)):
+            budget.spend()
+            pick = next(p for p in response if p not in covered)
+            picks[response] = pick
+            following += [_oriented(move.side, reply, pick) + (m - 1,) for reply in move.chosen]
+        strategy[position] = SpoilerPlay(move, picks)
+        stack.extend(reversed(following))
+    return strategy
+
+
+def rebuilding_verify_strategy(
+    result: GameResult,
+    a: PointedStructure,
+    b: PointedStructure,
+) -> bool:
+    """Replay every opposing move against the certificate, at its cap and
+    number of rounds.
+
+    Returns True iff the claimed winner never loses under the stored
+    strategy; a strategy that is not total on a reached position, or that
+    makes an illegal move, is rejected.
+    """
+    cap, rounds = result.cap, result.rounds
+    ka, kb = a.structure, b.structure
+    agents = ka.signature.agents
+
+    def atom_equal(u, v):
+        return all(
+            (u in ka.valuation[p]) == (v in kb.valuation[p])
+            for p in ka.signature.props
+        )
+
+    def duplicator_answers(u, v, m):
+        """The positions the stored answers at (u, v, m) lead to, or None if
+        a spoiler move is unanswered or an answer is illegal."""
+        moves = result.strategy.get((u, v, m))
+        if moves is None:
+            return None
+        following = []
+        for agent in agents:
+            for side, mine, theirs in _challenges(ka, kb, agent, u, v):
+                for chosen in _spoiler_sets(mine, cap):
+                    answer = moves.get(SpoilerMove(side, agent, chosen))
+                    if answer is None:
+                        return None
+                    response = answer.response
+                    distinct = set(response)
+                    if not (
+                        len(distinct) == len(response) == len(chosen)
+                        and distinct.issubset(theirs)
+                    ):
+                        return None
+                    for pick in response:
+                        reply = answer.matches.get(pick)
+                        if reply is None or reply not in chosen:
+                            return None
+                        following.append(_oriented(side, reply, pick) + (m - 1,))
+        return following
+
+    def spoiler_play(u, v, m):
+        """The positions the stored play at (u, v, m) leads to, or None if
+        there is none or it is illegal."""
+        entry = result.strategy.get((u, v, m))
+        if not isinstance(entry, SpoilerPlay) or entry.move.agent not in agents:
+            return None
+        side, agent, chosen = entry.move.side, entry.move.agent, entry.move.chosen
+        _, mine, theirs = _challenges(ka, kb, agent, u, v)[0 if side == "left" else 1]
+        distinct = set(chosen)
+        if not (1 <= len(distinct) == len(chosen) <= cap and distinct.issubset(mine)):
+            return None
+        following = []
+        # With no legal response the duplicator is stuck and the loop is empty.
+        for response in combinations(theirs, len(chosen)):
+            pick = entry.picks.get(response)
+            if pick is None or pick not in response:
+                return None
+            following += [_oriented(side, reply, pick) + (m - 1,) for reply in chosen]
+        return following
+
+    # The claimed winner wins iff every position the strategy reaches is won
+    # there: an atomic difference wins for the spoiler, the last round for
+    # the duplicator, and elsewhere the stored move must be legal.
+    spoiler_claims = result.winner != DUPLICATOR
+    moves_at = spoiler_play if spoiler_claims else duplicator_answers
+    start = (a.point, b.point, rounds)
+    seen = {start}
+    stack = [start]
+    while stack:
+        u, v, m = stack.pop()
+        equal = atom_equal(u, v)
+        if not equal or m == 0:
+            if spoiler_claims == equal:
+                return False
+            continue
+        following = moves_at(u, v, m)
+        if following is None:
+            return False
+        for position in following:
+            if position not in seen:
+                seen.add(position)
+                stack.append(position)
+    return True
+
+
+def print_ranked_distinguishing_formula(
+    a: PointedStructure, b: PointedStructure, cap: int, depth: int
+) -> Optional[Formula]:
+    """``distinguishing_formula``, sorting the conjuncts by a key that prints
+    each conjunct with ``format_formula``."""
+    if bounded_equivalence(a, b, cap, depth):
+        return None
+    chi = characteristic_formula(a, cap, depth)
+    candidates = sorted(
+        _conjuncts(chi),
+        key=lambda f: (
+            0 if isinstance(f, Not) else 1,
+            -nesting_depth(f),
+            format_formula(f),
+        ),
+    )
+    for conjunct in candidates:
+        if not satisfies(b, conjunct):
+            return conjunct
+    raise AssertionError("inequivalent points both satisfy the characteristic formula")

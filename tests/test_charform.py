@@ -39,8 +39,9 @@ from helpers import (
     random_pair,
     random_signature,
     random_structure,
+    related_pair,
 )
-from oracles import type_descriptors
+from oracles import print_ranked_distinguishing_formula, type_descriptors
 
 
 def test_level_zero_is_atomic_description():
@@ -306,6 +307,18 @@ def test_distinguishing_formula_random():
         assert in_fragment(separator, FragmentBound(cap, depth))
         assert satisfies(a, separator) and not satisfies(b, separator)
         found += 1
+
+
+def test_distinguishing_formula_matches_the_print_ranked_oracle():
+    rng = random.Random(29)
+    found = 0
+    for index in range(150):
+        a, b = (related_pair if index % 2 else random_pair)(rng)
+        cap, depth = rng.randint(0, 3), rng.randint(0, 3)
+        separator = distinguishing_formula(a, b, cap, depth)
+        assert separator is print_ranked_distinguishing_formula(a, b, cap, depth)
+        found += separator is not None
+    assert found >= 50
 
 
 def test_conjuncts_flatten_left_to_right():

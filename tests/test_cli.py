@@ -323,3 +323,29 @@ def test_main_maps_a_crash_to_a_non_verdict_exit(monkeypatch, capsys, error, cod
     # run() itself still raises, so in-process callers see the exception.
     with pytest.raises(error):
         run(["mc", _path("fan3.kr"), "true"])
+
+
+def test_parser_is_built_once_and_handlers_are_looked_up_by_name(monkeypatch, capsys):
+    calls = []
+
+    def counting_build_parser():
+        calls.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        assert run(["mc", _path("fan3.kr"), "<a:3> true"]) == 0
+        assert run(["mc", _path("fan3.kr"), "<a:4> true"]) == 1
+        assert len(calls) == 1
+        assert build_parser() is not build_parser()
+
+        def replaced(args):
+            return False, {}, "replaced"
+
+        monkeypatch.setattr(cli, "_cmd_mc", replaced)
+        assert run(["mc", _path("fan3.kr"), "<a:3> true"]) == 1
+        assert capsys.readouterr().out.splitlines() == ["true", "false", "replaced"]
+        assert len(calls) == 1
+    finally:
+        cli._parser.cache_clear()

@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +22,17 @@ from gradedmodal import (
     verify_strategy,
 )
 from gradedmodal import game
-from gradedmodal.game import DUPLICATOR, SPOILER
+from gradedmodal.game import (
+    DUPLICATOR,
+    SPOILER,
+    DuplicatorMove,
+    GameResult,
+    SpoilerMove,
+    SpoilerPlay,
+)
 
 from helpers import SIG_A, chain, fan, loop1, random_pair, related_pair
-from oracles import whole_table_solve_game
+from oracles import rebuilding_verify_strategy, whole_table_solve_game
 
 
 def test_fan_game_fixtures():
@@ -221,7 +229,108 @@ def test_reachable_tables_match_the_whole_table(seed, cap, rounds):
     assert result.winner == oracle.winner
     assert result.start == oracle.start
     assert dict(result.strategy) == dict(oracle.strategy)
+    assert _orders(result) == _orders(oracle)
     assert verify_strategy(result, a, b)
+
+
+def _orders(result):
+    """The certificate's positions in stored order, each with its moves and
+    their matches, or its picks, in stored order."""
+    orders = []
+    for position, value in result.strategy.items():
+        if result.winner == DUPLICATOR:
+            value = [(move, list(answer.matches.items())) for move, answer in value.items()]
+        elif value is not None:
+            value = (value.move, list(value.picks.items()))
+        orders.append((position, value))
+    return orders
+
+
+class _ForgedMove(SpoilerMove):
+    """Equal fields, but not a ``SpoilerMove``, so never equal to one."""
+
+
+def _mutate(result, mutation, choice):
+    """A copy of the certificate with one flaw at one stored move, chosen
+    by ``choice``; the certificate itself when it stores no move."""
+    strategy = dict(result.strategy)
+    stored = [key for key, value in strategy.items() if value]
+    if mutation == "none" or not stored:
+        return result
+    key = stored[choice % len(stored)]
+    if result.winner == DUPLICATOR:
+        moves = dict(strategy[key])
+        move = list(moves)[choice // len(stored) % len(moves)]
+        answer = moves.pop(move)
+        response, matches = answer.response, dict(answer.matches)
+        if mutation == "size":
+            response = response[:-1] if choice % 2 else response + (max(response) + 1,)
+            moves[move] = DuplicatorMove(response, matches)
+        elif mutation == "reply":
+            matches[response[choice % len(response)]] = max(move.chosen) + 1
+            moves[move] = DuplicatorMove(response, matches)
+        elif mutation == "key":
+            fields = (move.side, move.agent, move.chosen)
+            moves[fields if choice % 2 else _ForgedMove(*fields)] = answer
+        strategy[key] = moves
+    else:
+        play = strategy.pop(key)
+        move, picks = play.move, dict(play.picks)
+        if mutation == "size":
+            strategy[key] = SpoilerPlay(
+                SpoilerMove(move.side, move.agent, move.chosen + move.chosen[:1]), picks
+            )
+        elif mutation == "reply":
+            for response in list(picks)[:1]:
+                picks[response] = max(response) + 1
+            strategy[key] = SpoilerPlay(move, picks)
+        elif mutation == "key":
+            fields = SimpleNamespace(side=move.side, agent=move.agent, chosen=move.chosen)
+            strategy[key] = SpoilerPlay(fields, picks)
+    return GameResult(result.winner, result.cap, result.rounds, result.start, strategy)
+
+
+def _outcome(check, result, a, b):
+    try:
+        return check(result, a, b)
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.sampled_from(["none", "drop", "size", "reply", "key"]),
+    st.integers(0, 2**16),
+)
+def test_verify_strategy_agrees_with_the_rebuilding_checker(seed, cap, rounds, mutation, choice):
+    # Spoiler moves on a side other than "left" or "right" are left out: the
+    # rebuilding checker reads them as "right" (see the regression test below).
+    rng = random.Random(seed)
+    a, b = (related_pair if seed % 2 else random_pair)(rng, max_worlds=6)
+    result = solve_game(a, b, cap, rounds)
+    mutant = _mutate(result, mutation, choice)
+    verdict = _outcome(verify_strategy, mutant, a, b)
+    assert verdict == _outcome(rebuilding_verify_strategy, mutant, a, b)
+    if mutation == "none":
+        assert verdict is True
+
+
+def test_spoiler_move_on_an_unknown_side_rejected():
+    a, b = fan(2), fan(3)
+    result = solve_game(a, b, 3, 1)
+    assert result.winner == SPOILER
+    assert verify_strategy(result, a, b)
+    strategy = dict(result.strategy)
+    play = strategy[(0, 0, 1)]
+    strategy[(0, 0, 1)] = SpoilerPlay(SpoilerMove("up", play.move.agent, play.move.chosen), play.picks)
+    forged = GameResult(result.winner, result.cap, result.rounds, result.start, strategy)
+    assert forged.to_json_dict()["positions"][0]["move"]["side"] == "up"
+    assert not verify_strategy(forged, a, b)
+    # The rebuilding checker took any side but "left" for "right".
+    assert rebuilding_verify_strategy(forged, a, b)
 
 
 def test_budget_counts_only_reachable_positions(monkeypatch):

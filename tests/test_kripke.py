@@ -486,3 +486,16 @@ def test_neighborhood_and_restrict_match_edge_walks():
                 assert dump_structure(restrict(m, hood, point=w)) == dump_structure(
                     _restrict_by_edge_walk(m, hood, w)
                 )
+
+
+def test_props_of_reads_the_valuation_in_signature_order():
+    rng = random.Random(37)
+    for _ in range(40):
+        m = random_structure(rng, random_signature(rng), 6).structure
+        for w in m.worlds():
+            expected = tuple(p for p in m.signature.props if w in m.valuation[p])
+            assert m.props_of(w) == expected
+            assert m.props_of(w) is m.props_of(w)
+        for w in (-1, m.world_count):
+            with pytest.raises(ValueError, match="out of range"):
+                m.props_of(w)

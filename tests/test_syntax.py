@@ -19,6 +19,7 @@ from gradedmodal import (
     Top,
     counting_rank,
     format_formula,
+    format_formulas,
     in_fragment,
     nesting_depth,
     parse_formula,
@@ -236,3 +237,23 @@ def test_format_matches_tree_printer_on_shared_formulas():
             parts.append(rng.choice([And(x, y), Or(y, x), Diamond("a", 2, x), Not(x)]))
         f = and_all(parts)
         assert format_formula(f) == _tree_text(f)
+
+
+@st.composite
+def shared_dags(draw):
+    """A list of formulas drawn from a pool in which every new node is built
+    over earlier ones, so subformulas are shared within and across them."""
+    pool = [draw(formulas(depth=2)) for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(0, 8))):
+        x, y = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        kind = draw(st.integers(0, 3))
+        pool.append([And(x, y), Or(y, x), Diamond("a", 2, x), Not(x)][kind])
+    return draw(st.lists(st.sampled_from(pool), max_size=6))
+
+
+@given(shared_dags())
+@settings(max_examples=300, deadline=None)
+def test_format_formulas_prints_each_formula_as_format_formula(fs):
+    printed = format_formulas(fs)
+    assert printed == [format_formula(f) for f in fs]
+    assert printed == [_tree_text(f) for f in fs]
