@@ -100,13 +100,18 @@ def characteristic_formula(
     history = refine_to(m, cap, depth=depth)
 
     memo: dict[tuple[int, int], Formula] = {}
+    # Per level, the least world of each class, indexed when the level is first read.
+    firsts: dict[int, dict[int, int]] = {}
 
     def class_formula(level: int, cls: int) -> Formula:
         key = (level, cls)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        rep = min(w for w in m.worlds() if history.levels[level][w] == cls)
+        if level not in firsts:
+            labels = history.levels[level]
+            firsts[level] = {labels[w]: w for w in reversed(m.worlds())}
+        rep = firsts[level][cls]
         atoms = tuple(rep in m.valuation[p] for p in sig.props)
         if level == 0:
             formula = _atomic_description(sig, atoms)

@@ -295,7 +295,7 @@ def fo_eval(m: KripkeStructure, assignment: Mapping[str, int], formula: FOFormul
         if not 0 <= world < m.world_count:
             raise EvaluationError(f"assignment {var}={world} out of range")
     _check_fo_input(m, env, formula)
-    edges, valuation = m.edges, m.valuation
+    succ, valuation = m._succ, m.valuation
     everywhere = m.worlds()
     # Keyed by id(node): a dataclass hash would walk the whole subtree.
     plans: dict[int, tuple] = {}
@@ -308,7 +308,7 @@ def fo_eval(m: KripkeStructure, assignment: Mapping[str, int], formula: FOFormul
         if isinstance(f, Eq):
             return env[f.left] == env[f.right]
         if isinstance(f, EdgeAtom):
-            return (env[f.src], env[f.dst]) in edges[f.agent]
+            return env[f.dst] in succ[f.agent][env[f.src]]
         if isinstance(f, FOAnd):
             return ev(f.left) and ev(f.right)
         if isinstance(f, FOOr):
@@ -377,11 +377,11 @@ def _fo_type(pointed: PointedStructure, q: int, table: dict) -> int:
     """
     m = pointed.structure
     worlds = m.worlds()
-    edges = [m.edges[agent] for agent in m.signature.agents]
+    succs = [m._succ[agent] for agent in m.signature.agents]
     own = [
         (
             tuple(w in m.valuation[p] for p in m.signature.props),
-            tuple((w, w) in e for e in edges),
+            tuple(w in succ[w] for succ in succs),
         )
         for w in worlds
     ]
@@ -407,7 +407,7 @@ def _fo_type(pointed: PointedStructure, q: int, table: dict) -> int:
             for x in t:
                 if x not in relations:
                     relations[x] = [
-                        (x == w,) + tuple(((x, w) in e, (w, x) in e) for e in edges)
+                        (x == w,) + tuple((w in succ[x], x in succ[w]) for succ in succs)
                         for w in worlds
                     ]
             rows = [relations[x] for x in t]

@@ -407,12 +407,6 @@ def verify_strategy(
     ka, kb = a.structure, b.structure
     agents = ka.signature.agents
 
-    def atom_equal(u, v):
-        return all(
-            (u in ka.valuation[p]) == (v in kb.valuation[p])
-            for p in ka.signature.props
-        )
-
     def duplicator_answers(u, v, m):
         """The positions the stored answers at (u, v, m) lead to, or None if
         a spoiler move is unanswered or an answer is illegal."""
@@ -476,7 +470,7 @@ def verify_strategy(
     stack = [start]
     while stack:
         u, v, m = stack.pop()
-        equal = atom_equal(u, v)
+        equal = ka.props_of(u) == kb.props_of(v)
         if not equal or m == 0:
             if spoiler_claims == equal:
                 return False

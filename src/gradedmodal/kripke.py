@@ -3,18 +3,19 @@
 Worlds are dense integer indices 0..n-1 per structure.  Combinators relabel
 deterministically (parts in list order; in unravellings the tree part comes
 before the continuation copy), so outputs are reproducible bit for bit.
-All values are immutable after construction and every operation is a pure
-function, so any value may be shared across threads.  Derived arrays
-(predecessors, adjacency) are cached on first use; a race at worst builds
-one twice, with equal results.
+Each agent's relation is stored once, as sorted successor arrays.  Values
+are immutable and every operation is a pure function, so any value may be
+shared across threads.  Derived data (the ``edges`` pair sets, predecessors,
+adjacency) is cached on first use; a race at worst builds it twice.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import ParseError, SignatureError
 
@@ -40,7 +41,10 @@ class Signature:
 
 
 class KripkeStructure:
-    """A finite Kripke structure: worlds, per-agent edges, per-prop valuations.
+    """A finite Kripke structure: worlds, per-agent relations, per-prop valuations.
+
+    Each agent's relation is stored once: every world's sorted successors.
+    ``edges``, its pairs as a frozenset per agent, is a view built on first read.
 
     ``world_count == 0`` is permitted only for the empty aggregate produced by
     ``copies(m, 0)``, which is legal solely as a ``disjoint_union`` operand;
@@ -48,7 +52,7 @@ class KripkeStructure:
     """
 
     __slots__ = (
-        "signature", "world_count", "edges", "valuation", "_succ", "_pred", "_adj", "_atoms",
+        "signature", "world_count", "valuation", "_succ", "_edges", "_pred", "_adj", "_atoms",
         "_hash",
     )
 
@@ -69,43 +73,42 @@ class KripkeStructure:
                 raise SignatureError(f"unknown proposition {prop!r} in valuation")
         if world_count < 0:
             raise ValueError("world_count must be nonnegative")
-        norm_edges: dict[str, frozenset[tuple[int, int]]] = {}
+        # operator.index refuses the floats and strings int() would truncate or parse.
+        index = operator.index
+        succ, worlds_of = {}, {}
         for agent in signature.agents:
-            pairs = frozenset((int(u), int(v)) for u, v in edges.get(agent, ()))
+            try:
+                pairs = [(index(u), index(v)) for u, v in edges.get(agent, ())]
+            except TypeError:
+                raise TypeError(f"edges of agent {agent!r} must be pairs of integer worlds") from None
             for u, v in pairs:
                 if not (0 <= u < world_count and 0 <= v < world_count):
                     raise ValueError(f"edge ({u},{v}) of agent {agent!r} out of range")
-            norm_edges[agent] = pairs
-        norm_val: dict[str, frozenset[int]] = {}
+            succ[agent] = _successor_arrays(world_count, pairs)
         for prop in signature.props:
-            worlds = frozenset(int(w) for w in valuation.get(prop, ()))
-            for w in worlds:
+            try:
+                worlds_of[prop] = list(map(index, valuation.get(prop, ())))
+            except TypeError:
+                raise TypeError(f"worlds in the valuation of {prop!r} must be integers") from None
+            for w in worlds_of[prop]:
                 if not 0 <= w < world_count:
                     raise ValueError(f"world {w} in valuation of {prop!r} out of range")
-            norm_val[prop] = worlds
-        succ = {a: _successor_arrays(world_count, norm_edges[a]) for a in signature.agents}
-        self._fill(signature, world_count, norm_edges, norm_val, succ)
+        self._fill(signature, world_count, worlds_of, succ)
 
     @classmethod
-    def _assemble(
-        cls,
-        signature: Signature,
-        world_count: int,
-        edges: dict[str, frozenset[tuple[int, int]]],
-        valuation: dict[str, frozenset[int]],
-        succ: dict[str, tuple[tuple[int, ...], ...]],
-    ) -> KripkeStructure:
-        """A structure from parts that are already validated and normalised."""
+    def _assemble(cls, signature, world_count, valuation, succ) -> KripkeStructure:
+        """A structure from validated parts: the worlds of each proposition,
+        and per agent one sorted, duplicate-free successor tuple per world."""
         m = cls.__new__(cls)
-        m._fill(signature, world_count, edges, valuation, succ)
+        m._fill(signature, world_count, valuation, succ)
         return m
 
-    def _fill(self, signature, world_count, edges, valuation, succ) -> None:
+    def _fill(self, signature, world_count, valuation, succ) -> None:
         self.signature = signature
         self.world_count = world_count
-        self.edges = MappingProxyType(edges)
-        self.valuation = MappingProxyType(valuation)
-        self._succ = succ
+        self.valuation = MappingProxyType({p: frozenset(valuation[p]) for p in signature.props})
+        self._succ = {a: tuple(succ[a]) for a in signature.agents}
+        self._edges = None
         self._pred = None
         self._adj = None
         self._atoms = None
@@ -121,6 +124,18 @@ class KripkeStructure:
         if not 0 <= world < self.world_count:
             raise ValueError(f"world {world} out of range")
         return self._succ[agent][world]
+
+    @property
+    def edges(self) -> Mapping[str, frozenset[tuple[int, int]]]:
+        """Per agent, its relation as a frozenset of pairs, built from the
+        successor arrays on first read."""
+        if self._edges is None:
+            self._edges = MappingProxyType({a: frozenset(self._pairs(a)) for a in self._succ})
+        return self._edges
+
+    def _pairs(self, agent: str) -> Iterator[tuple[int, int]]:
+        """``agent``'s edges in lexicographic order, read off the arrays."""
+        return ((u, v) for u, vs in enumerate(self._succ[agent]) for v in vs)
 
     def _predecessors(self) -> dict[str, tuple[tuple[int, ...], ...]]:
         """Per agent, the sorted predecessors of every world, built on first use."""
@@ -160,14 +175,16 @@ class KripkeStructure:
         return self._atoms[world]
 
     def edge_count(self) -> int:
-        return sum(len(pairs) for pairs in self.edges.values())
+        return sum(len(vs) for succ in self._succ.values() for vs in succ)
 
     def _key(self):
+        # Sorted, duplicate-free arrays are equal iff the relations are.
+        sig = self.signature
         return (
-            self.signature,
+            sig,
             self.world_count,
-            tuple(sorted((a, tuple(sorted(p))) for a, p in self.edges.items())),
-            tuple(sorted((p, tuple(sorted(ws))) for p, ws in self.valuation.items())),
+            tuple(self._succ[a] for a in sig.agents),
+            tuple(self.valuation[p] for p in sig.props),
         )
 
     def __eq__(self, other):
@@ -187,13 +204,19 @@ class KripkeStructure:
 
 
 def _successor_arrays(
-    world_count: int, pairs: frozenset[tuple[int, int]]
+    world_count: int, pairs: Iterable[tuple[int, int]]
 ) -> tuple[tuple[int, ...], ...]:
-    """Per world, the sorted successors along one agent's validated edge set."""
+    """Per world, the sorted successors along one agent's validated edges,
+    each once however often its pair occurs."""
     per_world: list[list[int]] = [[] for _ in range(world_count)]
     for u, v in pairs:
         per_world[u].append(v)
-    return tuple(map(tuple, map(sorted, per_world)))
+    return tuple([tuple(sorted(set(vs))) for vs in per_world])
+
+
+def _shifted(arrays: tuple[tuple[int, ...], ...], offset: int) -> Iterable[tuple[int, ...]]:
+    """Successor arrays with every world moved up by ``offset``; shared for 0."""
+    return [tuple([v + offset for v in vs]) for vs in arrays] if offset else arrays
 
 
 @dataclass(frozen=True)
@@ -237,27 +260,15 @@ def disjoint_union(
     if total == 0:
         raise ValueError("disjoint union of empty aggregates is empty")
     # The parts are validated already, so their data is shifted, not rebuilt;
-    # the first part's is shared as it is.
-    edges: dict[str, list] = {a: [] for a in sig.agents}
+    # the first part's successor arrays are shared as they are.
     succ: dict[str, list] = {a: [] for a in sig.agents}
     valuation: dict[str, list] = {p: [] for p in sig.props}
     for m, off in zip(parts, offsets):
         for a in sig.agents:
-            if off:
-                edges[a].append([(u + off, v + off) for u, v in m.edges[a]])
-                succ[a].extend(tuple([v + off for v in vs]) for vs in m._succ[a])
-            else:
-                edges[a].append(m.edges[a])
-                succ[a].extend(m._succ[a])
+            succ[a].extend(_shifted(m._succ[a], off))
         for p in sig.props:
-            valuation[p].append([w + off for w in m.valuation[p]] if off else m.valuation[p])
-    result = KripkeStructure._assemble(
-        sig,
-        total,
-        {a: frozenset().union(*pieces) for a, pieces in edges.items()},
-        {p: frozenset().union(*pieces) for p, pieces in valuation.items()},
-        {a: tuple(arrays) for a, arrays in succ.items()},
-    )
+            valuation[p].extend(w + off for w in m.valuation[p])
+    result = KripkeStructure._assemble(sig, total, valuation, succ)
     if point_from is None:
         return result
     part, world = point_from
@@ -327,14 +338,13 @@ def restrict(
         if not 0 <= w < m.world_count:
             raise ValueError(f"world {w} out of range")
     relabel = {w: i for i, w in enumerate(keep)}
-    edges = {
-        a: {(relabel[u], relabel[v]) for u in keep for v in succ[u] if v in relabel}
-        for a, succ in m._succ.items()
+    # Relabelling keeps the order of worlds, so filtered arrays stay sorted.
+    succ = {
+        a: tuple(tuple([relabel[v] for v in arrays[u] if v in relabel]) for u in keep)
+        for a, arrays in m._succ.items()
     }
-    valuation = {
-        p: {relabel[w] for w in keep if w in holds} for p, holds in m.valuation.items()
-    }
-    result = KripkeStructure(m.signature, len(keep), edges, valuation)
+    valuation = {p: [relabel[w] for w in keep if w in holds] for p, holds in m.valuation.items()}
+    result = KripkeStructure._assemble(m.signature, len(keep), valuation, succ)
     if point is None:
         return result
     if point not in relabel:
@@ -378,7 +388,7 @@ def is_rooted_treelike(m: KripkeStructure, root: int, radius: int) -> TreelikeRe
 
     undirected: dict[frozenset[int], str] = {}
     for agent in s.signature.agents:
-        for u, v in sorted(s.edges[agent]):
+        for u, v in s._pairs(agent):
             key = frozenset((u, v))
             owner = undirected.get(key)
             if owner is not None and owner != agent:
@@ -435,7 +445,7 @@ def is_rooted_treelike(m: KripkeStructure, root: int, radius: int) -> TreelikeRe
                 dist[v] = dist[u] + 1
                 queue.append(v)
     for agent in s.signature.agents:
-        for u, v in sorted(s.edges[agent]):
+        for u, v in s._pairs(agent):
             if dist.get(v, -1) != dist.get(u, -1) + 1:
                 return TreelikeReport(False, "direction", (agent, (u, v)))
     return TreelikeReport(True)
@@ -459,7 +469,6 @@ def unravel(pointed: PointedStructure, depth: int) -> PointedStructure:
         raise ValueError("depth must be at least 1")
     m, start = pointed.structure, pointed.point
     sig = m.signature
-    agent_index = {a: i for i, a in enumerate(sig.agents)}
 
     paths: list[tuple[tuple[int, int], ...]] = [()]
     frontier: list[tuple[tuple[int, int], ...]] = [()]
@@ -467,41 +476,35 @@ def unravel(pointed: PointedStructure, depth: int) -> PointedStructure:
         nxt = []
         for path in frontier:
             endpoint = path[-1][1] if path else start
-            for agent in sig.agents:
-                ai = agent_index[agent]
+            for ai, agent in enumerate(sig.agents):
                 for v in m.successors(agent, endpoint):
                     nxt.append(path + ((ai, v),))
         nxt.sort()
         paths.extend(nxt)
         frontier = nxt
 
-    tree_size = len(paths)
     node_of = {path: i for i, path in enumerate(paths)}
-    copy_off = tree_size
-    total = tree_size + m.world_count
+    copy_off = len(paths)
 
-    edges: dict[str, set[tuple[int, int]]] = {a: set() for a in sig.agents}
-    valuation: dict[str, set[int]] = {p: set() for p in sig.props}
-    for path in paths:
+    # Paths are numbered in sorted order, so the children of a node along
+    # one agent are numbered in the order of their endpoints.
+    succ: dict[str, list] = {a: [] for a in sig.agents}
+    valuation: dict[str, list] = {p: [] for p in sig.props}
+    for node, path in enumerate(paths):
         endpoint = path[-1][1] if path else start
-        node = node_of[path]
-        for p in sig.props:
-            if endpoint in m.valuation[p]:
-                valuation[p].add(node)
+        for p in m.props_of(endpoint):
+            valuation[p].append(node)
         at_frontier = len(path) == depth - 1
-        for agent in sig.agents:
-            ai = agent_index[agent]
-            for v in m.successors(agent, endpoint):
-                if at_frontier:
-                    edges[agent].add((node, copy_off + v))
-                else:
-                    edges[agent].add((node, node_of[path + ((ai, v),)]))
+        for ai, agent in enumerate(sig.agents):
+            vs = m._succ[agent][endpoint]
+            kids = [copy_off + v for v in vs] if at_frontier else [node_of[path + ((ai, v),)] for v in vs]
+            succ[agent].append(tuple(kids))
     for agent in sig.agents:
-        edges[agent].update((copy_off + u, copy_off + v) for u, v in m.edges[agent])
+        succ[agent].extend(_shifted(m._succ[agent], copy_off))
     for p in sig.props:
-        valuation[p].update(copy_off + w for w in m.valuation[p])
+        valuation[p].extend(copy_off + w for w in m.valuation[p])
 
-    return PointedStructure(KripkeStructure(sig, total, edges, valuation), 0)
+    return PointedStructure(KripkeStructure._assemble(sig, copy_off + m.world_count, valuation, succ), 0)
 
 
 def _realize(sig: Signature, atoms: tuple, children: list[tuple[str, PointedStructure]]) -> PointedStructure:
@@ -510,22 +513,25 @@ def _realize(sig: Signature, atoms: tuple, children: list[tuple[str, PointedStru
     The root is world 0 and each child subtree follows in list order,
     relabelled by its offset.
     """
-    world_count = 1 + sum(c.structure.world_count for _, c in children)
-    edges: dict[str, set] = {a: set() for a in sig.agents}
-    valuation: dict[str, set] = {p: set() for p in sig.props}
+    root: dict[str, list] = {a: [] for a in sig.agents}
+    succ: dict[str, list] = {a: [()] for a in sig.agents}
+    valuation: dict[str, list] = {p: [] for p in sig.props}
     for prop, holds in zip(sig.props, atoms):
         if holds:
-            valuation[prop].add(0)
+            valuation[prop].append(0)
     offset = 1
     for agent, child in children:
         sub = child.structure
-        edges[agent].add((0, offset + child.point))
+        # Offsets grow in list order, so each root array comes out sorted.
+        root[agent].append(offset + child.point)
         for ag in sig.agents:
-            edges[ag].update((offset + u, offset + v) for u, v in sub.edges[ag])
+            succ[ag].extend(_shifted(sub._succ[ag], offset))
         for p in sig.props:
-            valuation[p].update(offset + w for w in sub.valuation[p])
+            valuation[p].extend(offset + w for w in sub.valuation[p])
         offset += sub.world_count
-    return PointedStructure(KripkeStructure(sig, world_count, edges, valuation), 0)
+    for agent in sig.agents:
+        succ[agent][0] = tuple(root[agent])
+    return PointedStructure(KripkeStructure._assemble(sig, offset, valuation, succ), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +562,7 @@ def load_named_structure(text: str) -> tuple[str, Union[KripkeStructure, Pointed
 
     One pass checks every line once, in file order, so the first failing
     line is the one reported.  Edges are collected as pairs per agent and
-    the successor arrays are built from them here, not checked again.
+    the successor arrays are built from them, not checked again.
     """
     name = None
     agents: Optional[list[str]] = None
@@ -657,14 +663,8 @@ def load_named_structure(text: str) -> tuple[str, Union[KripkeStructure, Pointed
     if world_count is None:
         raise ParseError("missing 'worlds' line", line=1)
     sig = Signature(tuple(agents or ()), tuple(props or ()))
-    edges = {a: frozenset(pairs_of[a]) for a in sig.agents}
-    m = KripkeStructure._assemble(
-        sig,
-        world_count,
-        edges,
-        {p: frozenset(valuation.get(p, ())) for p in sig.props},
-        {a: _successor_arrays(world_count, edges[a]) for a in sig.agents},
-    )
+    succ = {a: _successor_arrays(world_count, pairs_of[a]) for a in sig.agents}
+    m = KripkeStructure._assemble(sig, world_count, {p: valuation.get(p, ()) for p in sig.props}, succ)
     if point is None:
         return name, m
     return name, PointedStructure(m, point)
@@ -689,7 +689,7 @@ def dump_structure(value: Union[KripkeStructure, PointedStructure], name: str = 
     lines.append(("props: " + " ".join(m.signature.props)).rstrip())
     lines.append(f"worlds: {m.world_count}")
     for agent in sorted(m.signature.agents):
-        for u, v in sorted(m.edges[agent]):
+        for u, v in m._pairs(agent):
             lines.append(f"edge {agent}: {u} {v}")
     for prop in m.signature.props:
         worlds = sorted(m.valuation[prop])

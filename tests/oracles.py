@@ -21,6 +21,9 @@ two-pass structure reader: it collects edges as sets and lets
 ``KripkeStructure.__init__`` convert and range-check them a second time.
 It accepts a repeated ``point:`` line (the last wins) and reports duplicate
 agent or proposition names as a ``SignatureError`` with no line.
+``unravel`` builds the unravelling as pair sets for the validating
+constructor, and ``dump_structure`` writes each agent's edges by sorting
+its pair set; both read the ``edges`` view.
 """
 
 from __future__ import annotations
@@ -371,6 +374,95 @@ def load_named_structure(text: str) -> tuple[str, Union[KripkeStructure, Pointed
     if point is None:
         return name, m
     return name, PointedStructure(m, point)
+
+
+def unravel(pointed: PointedStructure, depth: int) -> PointedStructure:
+    """Partial directed tree unravelling to ``depth``, merged with one copy.
+
+    The tree part holds every labelled path from the point with fewer than
+    ``depth`` steps, each step recording the agent taken; a path node carries
+    the propositions of its endpoint and has, for each agent, one child per
+    successor of its endpoint.  Path nodes at the frontier (``depth - 1``
+    steps) get their agent edges redirected into a single appended relabelled
+    copy of the original structure, which continues the behaviour beyond the
+    unravelled depth.  The result is pointed at the empty path.
+
+    A single shared continuation copy suffices: each frontier node keeps the
+    per-agent successor counts of its endpoint world.
+    """
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    m, start = pointed.structure, pointed.point
+    sig = m.signature
+    agent_index = {a: i for i, a in enumerate(sig.agents)}
+
+    paths: list[tuple[tuple[int, int], ...]] = [()]
+    frontier: list[tuple[tuple[int, int], ...]] = [()]
+    for _ in range(depth - 1):
+        nxt = []
+        for path in frontier:
+            endpoint = path[-1][1] if path else start
+            for agent in sig.agents:
+                ai = agent_index[agent]
+                for v in m.successors(agent, endpoint):
+                    nxt.append(path + ((ai, v),))
+        nxt.sort()
+        paths.extend(nxt)
+        frontier = nxt
+
+    tree_size = len(paths)
+    node_of = {path: i for i, path in enumerate(paths)}
+    copy_off = tree_size
+    total = tree_size + m.world_count
+
+    edges: dict[str, set[tuple[int, int]]] = {a: set() for a in sig.agents}
+    valuation: dict[str, set[int]] = {p: set() for p in sig.props}
+    for path in paths:
+        endpoint = path[-1][1] if path else start
+        node = node_of[path]
+        for p in sig.props:
+            if endpoint in m.valuation[p]:
+                valuation[p].add(node)
+        at_frontier = len(path) == depth - 1
+        for agent in sig.agents:
+            ai = agent_index[agent]
+            for v in m.successors(agent, endpoint):
+                if at_frontier:
+                    edges[agent].add((node, copy_off + v))
+                else:
+                    edges[agent].add((node, node_of[path + ((ai, v),)]))
+    for agent in sig.agents:
+        edges[agent].update((copy_off + u, copy_off + v) for u, v in m.edges[agent])
+    for p in sig.props:
+        valuation[p].update(copy_off + w for w in m.valuation[p])
+
+    return PointedStructure(KripkeStructure(sig, total, edges, valuation), 0)
+
+
+def dump_structure(value: Union[KripkeStructure, PointedStructure], name: str = "m") -> str:
+    """Canonical text serialization; inverse of ``load_structure``."""
+    point = None
+    if isinstance(value, PointedStructure):
+        point = value.point
+        m = value.structure
+    else:
+        m = value
+    if m.world_count < 1:
+        raise ValueError("cannot serialize an empty aggregate")
+    lines = [f"structure {name}"]
+    lines.append(("agents: " + " ".join(m.signature.agents)).rstrip())
+    lines.append(("props: " + " ".join(m.signature.props)).rstrip())
+    lines.append(f"worlds: {m.world_count}")
+    for agent in sorted(m.signature.agents):
+        for u, v in sorted(m.edges[agent]):
+            lines.append(f"edge {agent}: {u} {v}")
+    for prop in m.signature.props:
+        worlds = sorted(m.valuation[prop])
+        if worlds:
+            lines.append(f"prop {prop}: " + " ".join(str(w) for w in worlds))
+    if point is not None:
+        lines.append(f"point: {point}")
+    return "\n".join(lines) + "\n"
 
 
 def covered_challenges(ka, kb, u, v, m, cap, agents, tables, budget):

@@ -1,29 +1,74 @@
 import random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradedmodal import (
+    Diamond,
     KripkeStructure,
     ParseError,
     PointedStructure,
+    Prop,
     Signature,
     SignatureError,
+    bounded_equivalence,
     copies,
     disjoint_union,
     dump_structure,
+    find_cap,
+    fo_eval,
+    fo_q_equivalent,
     full_graded_bisimilarity,
     is_rooted_treelike,
     load_structure,
     neighborhood,
     restrict,
+    standard_translation,
     unravel,
 )
-from gradedmodal.kripke import load_named_structure, part_offsets
+from gradedmodal.folink import EdgeAtom, Exists, FOAnd, PropAtom
+from gradedmodal.kripke import _realize, load_named_structure, part_offsets
 
 from helpers import SIG_A, chain, fan, loop1, random_signature, random_structure
+from oracles import dump_structure as pair_sorted_dump
 from oracles import load_named_structure as two_pass_load
+from oracles import unravel as pair_set_unravel
+
+
+def test_structure_refuses_world_ids_that_are_not_integers():
+    sig = Signature(("a",), ("p",))
+    # int() would read these as the edges {(0, 1), (2, 1)} and the valuation {2}.
+    with pytest.raises(TypeError, match="agent 'a'"):
+        KripkeStructure(sig, 3, {"a": [(0, 1.5), ("2", True)]}, {"p": [2.9]})
+    with pytest.raises(TypeError, match="'p'"):
+        KripkeStructure(sig, 3, {"a": [(0, 1)]}, {"p": [2.9]})
+    with pytest.raises(TypeError, match="'p'"):
+        KripkeStructure(sig, 3, {}, {"p": ["2"]})
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_constructor_stores_any_pair_list_sorted_and_once(data):
+    sig = Signature(("a", "b"), ("p",))
+    n = data.draw(st.integers(1, 6))
+    world = st.integers(0, n - 1)
+    pairs = {a: data.draw(st.lists(st.tuples(world, world), max_size=20)) for a in sig.agents}
+    holds = data.draw(st.lists(world, max_size=8))
+    m = KripkeStructure(sig, n, pairs, {"p": holds})
+    assert type(m.edges) is MappingProxyType and m.edges is m.edges
+    for agent in sig.agents:
+        assert m.edges[agent] == frozenset(pairs[agent])
+        assert type(m.edges[agent]) is frozenset
+        for w in m.worlds():
+            succ = m.successors(agent, w)
+            assert all(x < y for x, y in zip(succ, succ[1:]))
+    assert m.edge_count() == sum(len(set(ps)) for ps in pairs.values())
+    shuffled = {a: data.draw(st.permutations(ps + ps)) for a, ps in pairs.items()}
+    other = KripkeStructure(sig, n, shuffled, {"p": data.draw(st.permutations(holds))})
+    assert other == m and hash(other) == hash(m)
+    assert other._succ == m._succ
 
 
 def test_signature_rejects_duplicates_and_empties():
@@ -499,3 +544,83 @@ def test_props_of_reads_the_valuation_in_signature_order():
         for w in (-1, m.world_count):
             with pytest.raises(ValueError, match="out of range"):
                 m.props_of(w)
+
+
+def test_dump_structure_matches_the_pair_sorted_dump():
+    rng = random.Random(41)
+    for _ in range(60):
+        pointed = random_structure(rng, random_signature(rng), max_worlds=8, edge_prob=0.4)
+        for value in (pointed, pointed.structure, unravel(pointed, 2)):
+            assert dump_structure(value, name="x") == pair_sorted_dump(value, name="x")
+
+
+def _assert_built_as_validated(built, expected):
+    assert built == expected and hash(built) == hash(expected)
+    assert built._succ == expected._succ
+    assert dict(built.edges) == dict(expected.edges)
+    assert dict(built.valuation) == dict(expected.valuation)
+    assert all(type(worlds) is frozenset for worlds in built.valuation.values())
+
+
+def _realize_by_pairs(sig, atoms, children):
+    """``_realize`` through the validating constructor: the root's edges to
+    each child's point, and each child's pairs shifted by its offset."""
+    edges = {a: set() for a in sig.agents}
+    valuation = {p: {0} if holds else set() for p, holds in zip(sig.props, atoms)}
+    offset = 1
+    for agent, child in children:
+        sub = child.structure
+        edges[agent].add((0, offset + child.point))
+        for a in sig.agents:
+            edges[a].update((offset + u, offset + v) for u, v in sub.edges[a])
+        for p in sig.props:
+            valuation[p].update(offset + w for w in sub.valuation[p])
+        offset += sub.world_count
+    return PointedStructure(KripkeStructure(sig, offset, edges, valuation), 0)
+
+
+def test_restrict_unravel_and_realize_equal_validated_construction():
+    rng = random.Random(43)
+    for _ in range(40):
+        sig = random_signature(rng)
+        pointed = random_structure(rng, sig, max_worlds=6)
+        m = pointed.structure
+        for w in m.worlds():
+            hood = neighborhood(m, w, rng.randint(0, 2))
+            got, want = restrict(m, hood, point=w), _restrict_by_edge_walk(m, hood, w)
+            assert got.point == want.point
+            _assert_built_as_validated(got.structure, want.structure)
+        for depth in (1, 2, 3):
+            got, want = unravel(pointed, depth), pair_set_unravel(pointed, depth)
+            assert got.point == want.point == 0
+            _assert_built_as_validated(got.structure, want.structure)
+        children = [
+            (rng.choice(sig.agents), random_structure(rng, sig, max_worlds=4))
+            for _ in range(rng.randint(0, 3))
+        ]
+        atoms = tuple(rng.random() < 0.5 for _ in sig.props)
+        got, want = _realize(sig, atoms, children), _realize_by_pairs(sig, atoms, children)
+        _assert_built_as_validated(got.structure, want.structure)
+
+
+def test_no_library_reader_builds_the_edges_view(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the edges view was read")
+
+    rng = random.Random(47)
+    sig = Signature(("a", "b"), ("p",))
+    a, b = (random_structure(rng, sig, max_worlds=5, edge_prob=0.4) for _ in range(2))
+    monkeypatch.setattr(KripkeStructure, "edges", property(refuse))
+    loaded = load_structure(dump_structure(a))
+    union = disjoint_union([a.structure, b.structure])
+    restricted = restrict(union, range(3), point=0)
+    unravelled = unravel(a, 3)
+    bounded_equivalence(a, b, 1, 2)
+    fo_eval(a.structure, {"x": a.point}, standard_translation(Diamond("a", 2, Prop("p"))))
+    fo_eval(a.structure, {"x": a.point}, Exists("y", FOAnd(EdgeAtom("b", "y", "x"), PropAtom("p", "y"))))
+    fo_q_equivalent(a, b, 2)
+    find_cap(1, 1, Signature(("a",), ("p",)), 3)
+    dump_structure(unravelled)
+    is_rooted_treelike(unravelled.structure, 0, 2)
+    for value in (a, b, loaded, union, restricted, unravelled):
+        assert getattr(value, "structure", value)._edges is None
