@@ -51,7 +51,6 @@ from .equivalence import (
     atomic_history,
     bounded_equivalence,
     full_graded_bisimilarity,
-    refine,
     refine_to,
     relation_is_graded_bisimulation,
 )

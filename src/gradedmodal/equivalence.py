@@ -11,10 +11,10 @@ game equivalence, which the game module cross-checks independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import SignatureError
-from .kripke import KripkeStructure, PointedStructure, disjoint_union, part_offsets
+from .kripke import KripkeStructure, PointedStructure, _index, disjoint_union, part_offsets
 
 
 @dataclass(frozen=True)
@@ -22,8 +22,9 @@ class ColorHistory:
     """Level-indexed partitions of an arena under counted refinement.
 
     ``cap`` is the counting bound, or ``None`` for exact counting.  Class ids
-    are canonical: at every level they are ranks of sorted refinement keys,
-    so histories are reproducible across runs and platforms.
+    are canonical: at every level they are the ranks of the sorted keys of
+    the hand loop ``refine`` in ``tests/oracles.py``, so histories are
+    reproducible across runs and platforms.
     """
 
     arena: KripkeStructure
@@ -79,33 +80,6 @@ def _atom_keys(m: KripkeStructure) -> list[tuple[bool, ...]]:
     return [tuple(w in m.valuation[p] for p in m.signature.props) for w in m.worlds()]
 
 
-def _level_keys(m: KripkeStructure, prev: list, cap: Optional[int]) -> list:
-    """The refinement key of every world, one whole level per call.
-
-    A world's key is its previous label plus, per agent, the sorted
-    (label, count) pairs of its successors' previous labels, counts capped
-    at ``cap`` (pairs capped to zero dropped) unless ``cap`` is None.
-    """
-    agents = m.signature.agents
-    keys = []
-    for world in m.worlds():
-        parts = []
-        for agent in agents:
-            counts: dict = {}
-            for v in m.successors(agent, world):
-                label = prev[v]
-                counts[label] = counts.get(label, 0) + 1
-            if cap is not None:
-                entries = tuple(
-                    sorted((label, min(n, cap)) for label, n in counts.items() if min(n, cap) > 0)
-                )
-            else:
-                entries = tuple(sorted(counts.items()))
-            parts.append(entries)
-        keys.append((prev[world], tuple(parts)))
-    return keys
-
-
 def _ranks(keys: list) -> tuple[int, ...]:
     """Canonical class ids: the rank of each key among the sorted distinct keys."""
     rank = {key: i for i, key in enumerate(sorted(set(keys)))}
@@ -123,69 +97,61 @@ def atomic_history(
     return ColorHistory(arena, cap, offsets, (_ranks(_atom_keys(arena)),))
 
 
-def refine(history: ColorHistory) -> ColorHistory:
-    """Append one refinement level.
+def refine_to(
+    arena: KripkeStructure,
+    cap: Optional[int],
+    offsets: tuple[int, ...] = (0,),
+    depth: Optional[int] = None,
+) -> ColorHistory:
+    """The refinement kernel: ``depth`` rounds from the atomic level.
 
-    Two worlds share a new class iff they share the old one and their capped
-    per-agent, per-old-class successor counts coincide.
-    """
-    keys = _level_keys(history.arena, history.levels[-1], history.cap)
-    return ColorHistory(
-        history.arena, history.cap, history.part_offsets, history.levels + (_ranks(keys),)
-    )
-
-
-class _StableBlocks:
-    """The state of the refinement kernel between its rounds.
+    With ``depth=None`` refinement runs to its fixed point: the history ends
+    at the first level that repeats its predecessor.  The result equals that
+    many rounds of the one-round hand loop ``refine`` kept in
+    ``tests/oracles.py``, level for level.
 
     Every class has a stable block id: when a class splits, one part keeps
-    its id and the other parts get fresh ids.  ``key_of[b]`` is the key the
-    members of block ``b`` had when it was last computed, over block ids.  A
-    member none of whose successors changed block since still has that key,
-    so a round recomputes only the predecessors of the worlds that moved.
-    The first round knows no keys and recomputes every world.
+    its id and the other parts get fresh ids.  A world's key is, per agent,
+    its successors' block ids as a sorted tuple in which no id occurs more
+    than ``cap`` times.  ``key_of[b]`` is the key the members of block ``b``
+    had when it was last computed.  A member none of whose successors
+    changed block since still has that key, so a round recomputes only the
+    predecessors of the worlds that moved; the first round recomputes every
+    world, and only a second round builds the predecessor lists.
     """
-
-    __slots__ = ("block", "size", "key_of", "order", "canon", "moved")
-
-    def __init__(self, level: tuple[int, ...]):
-        """The atomic level, one block per class, with no key known yet."""
-        self.block = list(level)
-        self.size = [0] * len(set(level))
-        for b in level:
-            self.size[b] += 1
-        self.key_of: list = [None] * len(self.size)
-        self.order = list(range(len(self.size)))  # canonical id -> block id
-        self.canon = self.order[:]  # block id -> canonical id
-        self.moved: Optional[list[int]] = None
-
-    def round(
-        self,
-        keys_of: Callable[[list, Iterable[int]], list],
-        predecessors: Callable[[], dict],
-        level: tuple[int, ...],
-    ) -> tuple[int, ...]:
-        """The next level, or ``level`` itself if no class splits.
-
-        ``keys_of(labels, worlds)`` gives the worlds' keys over ``labels``;
-        ``predecessors()`` gives each agent's predecessor lists, and is
-        called only from the second round on.
-
-        Unsplit classes keep their rank among ``level``'s ids; the parts of a
-        split class are ranked by their keys over ``level``'s ids, which is
-        the order ``refine`` gives them.
-        """
-        block, size, key_of = self.block, self.size, self.key_of
+    if depth is not None and depth < 0:
+        raise ValueError("depth must be nonnegative")
+    level = atomic_history(arena, cap, offsets).levels[0]
+    levels = [level]
+    # Cap 0 drops every count, so no key then depends on the successors.
+    succs = [arena._succ[agent] for agent in arena.signature.agents] if cap != 0 else []
+    block = list(level)
+    label_of = block.__getitem__
+    size = [0] * len(set(level))
+    for b in level:
+        size[b] += 1
+    key_of: list = [None] * len(size)
+    order = list(range(len(size)))  # canonical id -> block id
+    canon = order[:]  # block id -> canonical id
+    moved: Optional[list[int]] = None
+    while depth is None or len(levels) <= depth:
         dirty: Iterable[int] = range(len(block))
-        if self.moved is not None:
+        if moved is not None:
             dirty = set()
-            for pred in predecessors().values():
-                dirty.update(*map(pred.__getitem__, self.moved))
+            for pred in arena._predecessors().values():
+                dirty.update(*map(pred.__getitem__, moved))
         # Every key is computed before any world changes block.
         touched: dict[int, dict[tuple, list[int]]] = {}
-        for w, k in zip(dirty, keys_of(block, dirty)):
-            touched.setdefault(block[w], {}).setdefault(k, []).append(w)
-        self.moved = []
+        for w in dirty:
+            key = []
+            for succ in succs:
+                found = sorted(map(label_of, succ[w]))
+                if cap is not None and len(found) > cap:
+                    # found[i] is past the cap iff found[i - cap] is the same label.
+                    found = [x for i, x in enumerate(found) if i < cap or found[i - cap] != x]
+                key.append(tuple(found))
+            touched.setdefault(block[w], {}).setdefault(tuple(key), []).append(w)
+        moved = []
         splits: dict[int, list[tuple[tuple, int]]] = {}  # canonical id -> parts
         for b, groups in touched.items():
             if sum(map(len, groups.values())) < size[b]:
@@ -207,16 +173,17 @@ class _StableBlocks:
                 size[b] -= len(worlds)
                 for w in worlds:
                     block[w] = fresh
-                self.moved.extend(worlds)
+                moved.extend(worlds)
                 parts.append((k, fresh))
-            splits[self.canon[b]] = parts
+            splits[canon[b]] = parts
         if not splits:
-            return level
-        canon = self.canon
+            # A stable partition stays stable: the remaining levels repeat.
+            levels.extend([level] * (1 if depth is None else depth + 1 - len(levels)))
+            break
 
         def canonical(part: tuple[tuple, int]) -> list:
-            """The part's key as ``refine`` writes it: per agent, the sorted
-            (label, count) pairs over ``level``'s ids."""
+            """The part's key as ``refine`` writes it, by which the parts of a
+            split class are ranked; unsplit classes keep their rank."""
             key = []
             for found in part[0]:
                 counts: dict[int, int] = {}
@@ -225,61 +192,15 @@ class _StableBlocks:
                 key.append(sorted(counts.items()))
             return key
 
-        order: list[int] = []
+        ranked: list[int] = []
         start = 0
         for position in sorted(splits):
-            order += self.order[start:position]
-            order += [b for _, b in sorted(splits[position], key=canonical)]
+            ranked += order[start:position]
+            ranked += [b for _, b in sorted(splits[position], key=canonical)]
             start = position + 1
-        order = self.order = order + self.order[start:]
-        self.canon = sorted(range(len(order)), key=order.__getitem__)  # the inverse
-        return tuple(map(self.canon.__getitem__, block))
-
-
-def refine_to(
-    arena: KripkeStructure,
-    cap: Optional[int],
-    offsets: tuple[int, ...] = (0,),
-    depth: Optional[int] = None,
-) -> ColorHistory:
-    """The refinement kernel: ``depth`` rounds from the atomic level.
-
-    With ``depth=None`` refinement runs to its fixed point: the history ends
-    at the first level that repeats its predecessor.
-
-    The result equals that many ``refine`` steps, level for level.  Every
-    round is a ``_StableBlocks`` round: the first recomputes every key, and
-    each later one only the keys of worlds with a successor that changed
-    class in the round before.
-    """
-    level = atomic_history(arena, cap, offsets).levels[0]
-    levels = [level]
-    # Cap 0 drops every count, so no key then depends on the successors.
-    succs = [arena._succ[agent] for agent in arena.signature.agents] if cap != 0 else []
-
-    def keys_of(labels, worlds: Iterable[int]) -> list[tuple]:
-        """Per world, per agent, its successors' labels as a sorted tuple in
-        which no label occurs more than ``cap`` times."""
-        label_of = labels.__getitem__
-        keys = []
-        for world in worlds:
-            parts = []
-            for succ in succs:
-                found = sorted(map(label_of, succ[world]))
-                if cap is not None and len(found) > cap:
-                    # found[i] is past the cap iff found[i - cap] is the same label.
-                    found = [x for i, x in enumerate(found) if i < cap or found[i - cap] != x]
-                parts.append(tuple(found))
-            keys.append(tuple(parts))
-        return keys
-
-    blocks = _StableBlocks(level)
-    while depth is None or len(levels) <= depth:
-        level = blocks.round(keys_of, arena._predecessors, level)
-        if level is levels[-1]:
-            # A stable partition stays stable: the remaining levels repeat.
-            levels.extend([level] * (1 if depth is None else depth + 1 - len(levels)))
-            break
+        order = ranked + order[start:]
+        canon = sorted(range(len(order)), key=order.__getitem__)  # the inverse
+        level = tuple(map(canon.__getitem__, block))
         levels.append(level)
     return ColorHistory(arena, cap, offsets, tuple(levels))
 
@@ -423,7 +344,7 @@ def relation_is_graded_bisimulation(
     """
     if a.signature != b.signature:
         raise SignatureError("the two structures carry different signatures")
-    pairs = sorted(set((int(u), int(v)) for u, v in relation))
+    pairs = sorted({(_index(u, "relation"), _index(v, "relation")) for u, v in relation})
     if not pairs:
         raise ValueError("the relation must be nonempty")
     for u, v in pairs:

@@ -36,6 +36,7 @@ from .kripke import (
     KripkeStructure,
     PointedStructure,
     Signature,
+    _index,
     _local_part,
     _realize,
     disjoint_union,
@@ -290,7 +291,7 @@ def fo_eval(m: KripkeStructure, assignment: Mapping[str, int], formula: FOFormul
     the dual, over a disjunction guarded by ``!Ea(z, y)``.  This is sound
     for every FO formula.
     """
-    env = dict(assignment)
+    env = {var: _index(world, f"assignment {var}") for var, world in assignment.items()}
     for var, world in env.items():
         if not 0 <= world < m.world_count:
             raise EvaluationError(f"assignment {var}={world} out of range")

@@ -22,6 +22,14 @@ from .errors import ParseError, SignatureError
 WorldId = int
 
 
+def _index(value, name: str) -> int:
+    """``value`` as an integer, refusing what int() would truncate or parse."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name}: expected an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Signature:
     """Ordered agent and proposition names shared by a family of structures."""
@@ -227,7 +235,7 @@ class PointedStructure:
     point: int
 
     def __post_init__(self):
-        if not 0 <= self.point < self.structure.world_count:
+        if not 0 <= _index(self.point, "point") < self.structure.world_count:
             raise ValueError(f"point {self.point} out of range")
 
     @property
@@ -271,7 +279,7 @@ def disjoint_union(
     result = KripkeStructure._assemble(sig, total, valuation, succ)
     if point_from is None:
         return result
-    part, world = point_from
+    part, world = (_index(i, "point_from") for i in point_from)
     if not 0 <= part < len(parts) or not 0 <= world < parts[part].world_count:
         raise ValueError(f"invalid point_from {point_from!r}")
     return PointedStructure(result, offsets[part] + world)
@@ -305,7 +313,7 @@ def neighborhood(m: KripkeStructure, world: int, radius: int) -> frozenset[int]:
     Distance is taken in the union of the symmetrisations of all agent
     relations; radius 0 yields ``{world}``.
     """
-    if not 0 <= world < m.world_count:
+    if not 0 <= _index(world, "world") < m.world_count:
         raise ValueError(f"world {world} out of range")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -331,7 +339,7 @@ def restrict(
     point: Optional[int] = None,
 ) -> Union[KripkeStructure, PointedStructure]:
     """Substructure induced on ``worlds``, relabelled densely by sorted order."""
-    keep = sorted(set(int(w) for w in worlds))
+    keep = sorted({_index(w, "worlds") for w in worlds})
     if not keep:
         raise ValueError("cannot restrict to an empty world set")
     for w in keep:
@@ -347,7 +355,7 @@ def restrict(
     result = KripkeStructure._assemble(m.signature, len(keep), valuation, succ)
     if point is None:
         return result
-    if point not in relabel:
+    if _index(point, "point") not in relabel:
         raise ValueError(f"point {point} not in the restricted world set")
     return PointedStructure(result, relabel[point])
 

@@ -1,5 +1,10 @@
 """Slow reference implementations that the fast paths are tested against.
 
+``refine`` is the one-round hand loop of counted refinement: it appends a
+level by ranking every world's key from ``_level_keys``, the world's
+previous label plus its per-agent (label, count) pairs; ``refine_to`` must
+return exactly its levels, canonical class ids included.
+
 ``naive_fo_eval`` quantifies over every world and checks symbols only when
 an atom is reached.  ``whole_table_solve_game`` fills the duplicator's win
 table for every pair of worlds and every number of rounds left, then
@@ -35,7 +40,7 @@ from typing import Mapping, Optional, Union
 
 from gradedmodal import game
 from gradedmodal.charform import _conjuncts, characteristic_formula
-from gradedmodal.equivalence import _atom_keys, _level_keys, bounded_equivalence
+from gradedmodal.equivalence import ColorHistory, _atom_keys, _ranks, bounded_equivalence
 from gradedmodal.errors import EvaluationError, ParseError, SignatureError
 from gradedmodal.folink import (
     EdgeAtom,
@@ -67,6 +72,45 @@ from gradedmodal.game import (
 from gradedmodal.kripke import KripkeStructure, PointedStructure, Signature
 from gradedmodal.semantics import satisfies
 from gradedmodal.syntax import Formula, Not, format_formula, nesting_depth
+
+
+def _level_keys(m: KripkeStructure, prev: list, cap: Optional[int]) -> list:
+    """The refinement key of every world, one whole level per call.
+
+    A world's key is its previous label plus, per agent, the sorted
+    (label, count) pairs of its successors' previous labels, counts capped
+    at ``cap`` (pairs capped to zero dropped) unless ``cap`` is None.
+    """
+    agents = m.signature.agents
+    keys = []
+    for world in m.worlds():
+        parts = []
+        for agent in agents:
+            counts: dict = {}
+            for v in m.successors(agent, world):
+                label = prev[v]
+                counts[label] = counts.get(label, 0) + 1
+            if cap is not None:
+                entries = tuple(
+                    sorted((label, min(n, cap)) for label, n in counts.items() if min(n, cap) > 0)
+                )
+            else:
+                entries = tuple(sorted(counts.items()))
+            parts.append(entries)
+        keys.append((prev[world], tuple(parts)))
+    return keys
+
+
+def refine(history: ColorHistory) -> ColorHistory:
+    """Append one refinement level.
+
+    Two worlds share a new class iff they share the old one and their capped
+    per-agent, per-old-class successor counts coincide.
+    """
+    keys = _level_keys(history.arena, history.levels[-1], history.cap)
+    return ColorHistory(
+        history.arena, history.cap, history.part_offsets, history.levels + (_ranks(keys),)
+    )
 
 
 def type_descriptors(m: KripkeStructure, cap: Optional[int], depth: int) -> list:

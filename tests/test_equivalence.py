@@ -13,7 +13,6 @@ from gradedmodal import (
     atomic_history,
     bounded_equivalence,
     full_graded_bisimilarity,
-    refine,
     refine_to,
     relation_is_graded_bisimulation,
     solve_game,
@@ -22,7 +21,7 @@ from gradedmodal.equivalence import RelationViolation, _max_matching
 from gradedmodal.kripke import disjoint_union, part_offsets
 
 from helpers import SIG_A, chain, fan, loop1, random_pair, random_signature, random_structure
-from oracles import type_descriptors
+from oracles import refine, type_descriptors
 
 
 def _fan_arena_history(cap):
@@ -229,6 +228,13 @@ def test_relation_checker_validates_input():
         relation_is_graded_bisimulation({(0, 9)}, fan(1).structure, fan(1).structure)
 
 
+def test_relation_checker_refuses_world_ids_that_are_not_integers():
+    m = chain(2).structure
+    # int() would read the identity relation, a bisimulation.
+    with pytest.raises(TypeError, match="relation"):
+        relation_is_graded_bisimulation([(0.9, 0.2), (1.5, 1.2), (2.7, 2.1)], m, m)
+
+
 def test_cap_zero_is_atom_equivalence():
     rng = random.Random(101)
     for _ in range(30):
@@ -343,6 +349,12 @@ def test_kernel_matches_hand_loop_on_sparse_graphs():
             while not fixpoint.is_stable():
                 fixpoint = refine(fixpoint)
             assert refine_to(arena, cap) == fixpoint
+
+
+def test_kernel_refuses_a_negative_depth():
+    # Depth -1 must not read as depth 0, the atomic level alone.
+    with pytest.raises(ValueError, match="depth"):
+        refine_to(chain(2).structure, 1, depth=-1)
 
 
 def test_kernel_refines_the_empty_aggregate():

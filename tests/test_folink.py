@@ -138,6 +138,15 @@ def test_fo_eval_unassigned_variable():
         fo_eval(fan(1, SIG_AP).structure, {}, PropAtom("p", "x"))
 
 
+def test_fo_eval_refuses_an_assignment_that_is_not_an_integer():
+    m = KripkeStructure(SIG_AP, 3, {"a": [(0, 1), (1, 2)]}, {"p": [2]})
+    assert fo_eval(m, {"x": 2}, PropAtom("p", "x"))
+    # A range check alone lets floats through: 2.0 would answer True, 1.5 False.
+    for world in (1.5, 2.0):
+        with pytest.raises(TypeError, match="assignment x"):
+            fo_eval(m, {"x": world}, PropAtom("p", "x"))
+
+
 def test_translation_adequacy_random():
     rng = random.Random(5)
     for _ in range(150):

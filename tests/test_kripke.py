@@ -25,13 +25,14 @@ from gradedmodal import (
     load_structure,
     neighborhood,
     restrict,
+    satisfies,
     standard_translation,
     unravel,
 )
 from gradedmodal.folink import EdgeAtom, Exists, FOAnd, PropAtom
 from gradedmodal.kripke import _realize, load_named_structure, part_offsets
 
-from helpers import SIG_A, chain, fan, loop1, random_signature, random_structure
+from helpers import SIG_A, SIG_AP, chain, fan, loop1, random_signature, random_structure
 from oracles import dump_structure as pair_sorted_dump
 from oracles import load_named_structure as two_pass_load
 from oracles import unravel as pair_set_unravel
@@ -46,6 +47,36 @@ def test_structure_refuses_world_ids_that_are_not_integers():
         KripkeStructure(sig, 3, {"a": [(0, 1)]}, {"p": [2.9]})
     with pytest.raises(TypeError, match="'p'"):
         KripkeStructure(sig, 3, {}, {"p": ["2"]})
+
+
+def _marked_line() -> KripkeStructure:
+    """Worlds 0 -> 1 -> 2 along 'a', with p true at world 2 only."""
+    return KripkeStructure(SIG_AP, 3, {"a": [(0, 1), (1, 2)]}, {"p": [2]})
+
+
+def test_restrict_refuses_world_ids_that_are_not_integers():
+    # int() would keep all three worlds.
+    with pytest.raises(TypeError, match="worlds"):
+        restrict(_marked_line(), [0.5, 1.7, 2.2], point=1)
+    with pytest.raises(TypeError, match="point"):
+        restrict(_marked_line(), [0, 1, 2], point=1.0)
+
+
+def test_pointed_structure_refuses_a_point_that_is_not_an_integer():
+    # A range check alone lets 0.5 through, and satisfies then fails on a tuple index.
+    with pytest.raises(TypeError, match="point"):
+        PointedStructure(_marked_line(), 0.5)
+    assert satisfies(PointedStructure(_marked_line(), 1), Diamond("a", 1, Prop("p")))
+
+
+def test_disjoint_union_refuses_a_point_from_that_is_not_an_integer():
+    with pytest.raises(TypeError, match="point_from"):
+        disjoint_union([_marked_line()], point_from=(0, 0.5))
+
+
+def test_neighborhood_refuses_a_world_that_is_not_an_integer():
+    with pytest.raises(TypeError, match="world"):
+        neighborhood(_marked_line(), 1.5, 1)
 
 
 @settings(max_examples=200, deadline=None)
