@@ -17,8 +17,8 @@ are exposed:
   the target satisfies, found by model checking each in turn; it has an
   explicit negated grade-1 conjunct for every catalog type with zero
   successor count, a completion relative to the full catalog;
-* bare mode (``exclude_unrealized=False``): successor classes only.  This
-  variant does not define the class and is exposed for comparison.
+* bare mode (``exclude_unrealized=False``, no catalog): successor classes
+  only.  It does not define the class and is exposed for comparison.
 """
 
 from __future__ import annotations
@@ -90,6 +90,8 @@ def characteristic_formula(
     m = target.structure
     sig = m.signature
     if catalog is not None:
+        if not exclude_unrealized:
+            raise ValueError("catalog mode and bare mode (exclude_unrealized=False) exclude each other")
         if catalog.signature != sig:
             raise SignatureError("catalog signature differs from the structure's")
         if catalog.cap != cap or catalog.depth < depth:

@@ -227,8 +227,11 @@ def _parse_assignment(text: Optional[str]) -> dict[str, int]:
         var, _, world = item.partition("=")
         if not var or not world:
             raise ParseError(f"bad assignment item {item!r}; use var=world")
+        var = var.strip()
+        if var in assignment:
+            raise ParseError(f"variable {var!r} is assigned twice")
         try:
-            assignment[var.strip()] = int(world)
+            assignment[var] = int(world)
         except ValueError:
             raise ParseError(f"bad world number in {item!r}")
     return assignment
@@ -337,8 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("char", _cmd_char, "characteristic formula of a pointed structure")
     p.add_argument("structure")
     bounds(p)
-    p.add_argument("--catalog", action="store_true", help="complete against a full type catalog")
-    p.add_argument("--literal-chi", action="store_true", help="successor classes only, no completion")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--catalog", action="store_true", help="complete against a full type catalog")
+    mode.add_argument("--literal-chi", action="store_true", help="successor classes only, no completion")
 
     p = add("types", _cmd_types, "enumerate all types at a bound")
     p.add_argument("--agents", default="", help="comma-separated agent names")

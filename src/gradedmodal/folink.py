@@ -157,8 +157,11 @@ def standard_translation(formula: Formula, var: str = "x") -> FOFormula:
     A grade-k modality becomes k nested existentials asserting pairwise
     distinctness, the k edges, and the translated body at each new
     variable; fresh variables are y1, y2, ... in evaluation order, skipping
-    ``var`` so that the free variable is never captured.
+    ``var`` so that the free variable is never captured.  ``var`` must be
+    an FO identifier, so that the printed translation parses again.
     """
+    if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", var):
+        raise ValueError(f"variable {var!r} is not an identifier [A-Za-z][A-Za-z0-9_]*")
     fresh = (y for y in (f"y{i}" for i in itertools.count(1)) if y != var)
 
     def st(f: Formula, x: str) -> FOFormula:

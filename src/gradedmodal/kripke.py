@@ -5,8 +5,8 @@ deterministically (parts in list order; in unravellings the tree part comes
 before the continuation copy), so outputs are reproducible bit for bit.
 Each agent's relation is stored once, as sorted successor arrays.  Values
 are immutable and every operation is a pure function, so any value may be
-shared across threads.  Derived data (the ``edges`` pair sets, predecessors,
-adjacency) is cached on first use; a race at worst builds it twice.
+shared across threads.  Derived data (the ``edges`` pair sets and the
+predecessor arrays) is cached on first use; a race at worst builds it twice.
 """
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ class KripkeStructure:
     """
 
     __slots__ = (
-        "signature", "world_count", "valuation", "_succ", "_edges", "_pred", "_adj", "_atoms",
-        "_hash",
+        "signature", "world_count", "valuation", "_succ", "_edges", "_pred", "_atoms", "_hash",
     )
 
     def __init__(
@@ -118,7 +117,6 @@ class KripkeStructure:
         self._succ = {a: tuple(succ[a]) for a in signature.agents}
         self._edges = None
         self._pred = None
-        self._adj = None
         self._atoms = None
         self._hash = None
 
@@ -157,16 +155,6 @@ class KripkeStructure:
                 pred[agent] = tuple(map(tuple, per_world))
             self._pred = pred
         return self._pred
-
-    def _neighbors(self) -> tuple[frozenset[int], ...]:
-        """Per world, its successors and predecessors along every agent,
-        built on first use."""
-        if self._adj is None:
-            arrays = list(self._succ.values()) + list(self._predecessors().values())
-            self._adj = tuple(
-                frozenset().union(*(array[w] for array in arrays)) for w in self.worlds()
-            )
-        return self._adj
 
     def props_of(self, world: int) -> tuple[str, ...]:
         """The propositions true at ``world``, in signature order; the tuples
@@ -222,9 +210,14 @@ def _successor_arrays(
     return tuple([tuple(sorted(set(vs))) for vs in per_world])
 
 
-def _shifted(arrays: tuple[tuple[int, ...], ...], offset: int) -> Iterable[tuple[int, ...]]:
-    """Successor arrays with every world moved up by ``offset``; shared for 0."""
-    return [tuple([v + offset for v in vs]) for vs in arrays] if offset else arrays
+def _append(succ: dict[str, list], valuation: dict[str, list], m: KripkeStructure, offset: int) -> None:
+    """Append ``m``'s worlds, moved up by ``offset``, to the per-agent
+    successor lists and per-proposition world lists of a structure being
+    built; ``m`` is validated already, so its arrays are shared for 0."""
+    for agent, arrays in m._succ.items():
+        succ[agent].extend([tuple([v + offset for v in vs]) for vs in arrays] if offset else arrays)
+    for prop, holds in m.valuation.items():
+        valuation[prop].extend(w + offset for w in holds)
 
 
 @dataclass(frozen=True)
@@ -272,10 +265,7 @@ def disjoint_union(
     succ: dict[str, list] = {a: [] for a in sig.agents}
     valuation: dict[str, list] = {p: [] for p in sig.props}
     for m, off in zip(parts, offsets):
-        for a in sig.agents:
-            succ[a].extend(_shifted(m._succ[a], off))
-        for p in sig.props:
-            valuation[p].extend(w + off for w in m.valuation[p])
+        _append(succ, valuation, m, off)
     result = KripkeStructure._assemble(sig, total, valuation, succ)
     if point_from is None:
         return result
@@ -317,16 +307,17 @@ def neighborhood(m: KripkeStructure, world: int, radius: int) -> frozenset[int]:
         raise ValueError(f"world {world} out of range")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    adj = m._neighbors()
+    arrays = [*m._succ.values(), *m._predecessors().values()]
     seen = {world}
     frontier = [world]
     for _ in range(radius):
         nxt = []
         for u in frontier:
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
+            for array in arrays:
+                for v in array[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        nxt.append(v)
         if not nxt:
             break
         frontier = nxt
@@ -403,58 +394,40 @@ def is_rooted_treelike(m: KripkeStructure, root: int, radius: int) -> TreelikeRe
                 return TreelikeReport(False, "disjointness", (owner, agent, (u, v)))
             undirected[key] = agent
 
-    adj: dict[int, list[int]] = {w: [] for w in s.worlds()}
     for key in undirected:
         if len(key) == 1:
             (u,) = key
             return TreelikeReport(False, "acyclicity", (u, u))
-        u, v = sorted(key)
-        adj[u].append(v)
-        adj[v].append(u)
-    parent: dict[int, Optional[int]] = {}
-    for start in s.worlds():
-        if start in parent:
-            continue
-        parent[start] = None
-        stack = [(start, None)]
-        while stack:
-            node, par = stack.pop()
-            for nb in adj[node]:
-                if nb == par:
-                    # One tree edge back to the parent is fine; a parallel
-                    # edge cannot occur once disjointness holds.
-                    par = -1  # consume the single allowed back-step
-                    continue
-                if nb in parent:
-                    # Reconstruct the cycle through the DFS parents.
-                    path_a, path_b = [node], [nb]
-                    seen_a = {node}
-                    x = node
-                    while parent[x] is not None:
-                        x = parent[x]
-                        path_a.append(x)
-                        seen_a.add(x)
-                    y = nb
-                    while y not in seen_a:
-                        y = parent[y]
-                        path_b.append(y)
-                    cut = path_a.index(path_b[-1])
-                    cycle = tuple(path_a[: cut + 1] + path_b[-2::-1])
-                    return TreelikeReport(False, "acyclicity", cycle)
-                parent[nb] = node
-                stack.append((nb, node))
 
+    # The restriction is connected, so one breadth-first search from the
+    # root reaches every world.  An edge to a reached world closes a cycle
+    # unless it is the tree edge to u's parent or child (u -> v and v -> u
+    # along one agent are one undirected edge); the cycle is the two ends'
+    # parent paths up to where they meet.
+    arrays = [*s._succ.values(), *s._predecessors().values()]
+    parent: dict[int, Optional[int]] = {r: None}
     dist = {r: 0}
     queue = deque([r])
     while queue:
         u = queue.popleft()
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+        for array in arrays:
+            for v in array[u]:
+                if v not in dist:
+                    parent[v] = u
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+                elif v != parent[u] and parent[v] != u:
+                    path_u, path_v = [u], [v]
+                    while path_u[-1] != path_v[-1]:
+                        if dist[path_u[-1]] >= dist[path_v[-1]]:
+                            path_u.append(parent[path_u[-1]])
+                        else:
+                            path_v.append(parent[path_v[-1]])
+                    return TreelikeReport(False, "acyclicity", tuple(path_u + path_v[-2::-1]))
+
     for agent in s.signature.agents:
         for u, v in s._pairs(agent):
-            if dist.get(v, -1) != dist.get(u, -1) + 1:
+            if dist[v] != dist[u] + 1:
                 return TreelikeReport(False, "direction", (agent, (u, v)))
     return TreelikeReport(True)
 
@@ -478,40 +451,30 @@ def unravel(pointed: PointedStructure, depth: int) -> PointedStructure:
     m, start = pointed.structure, pointed.point
     sig = m.signature
 
-    paths: list[tuple[tuple[int, int], ...]] = [()]
-    frontier: list[tuple[tuple[int, int], ...]] = [()]
-    for _ in range(depth - 1):
-        nxt = []
-        for path in frontier:
-            endpoint = path[-1][1] if path else start
-            for ai, agent in enumerate(sig.agents):
-                for v in m.successors(agent, endpoint):
-                    nxt.append(path + ((ai, v),))
-        nxt.sort()
-        paths.extend(nxt)
-        frontier = nxt
-
-    node_of = {path: i for i, path in enumerate(paths)}
-    copy_off = len(paths)
-
-    # Paths are numbered in sorted order, so the children of a node along
-    # one agent are numbered in the order of their endpoints.
+    # Nodes are numbered breadth first as they are expanded, each node's
+    # children along one agent consecutively in the order of their
+    # endpoints; ends[node] is the world the node's path ends in.
+    ends = [start]
     succ: dict[str, list] = {a: [] for a in sig.agents}
+    frontier = range(1)
+    for _ in range(depth - 1):
+        top = len(ends)
+        for node in frontier:
+            for agent in sig.agents:
+                vs = m._succ[agent][ends[node]]
+                succ[agent].append(tuple(range(len(ends), len(ends) + len(vs))))
+                ends.extend(vs)
+        frontier = range(top, len(ends))
+    # The frontier's edges run into the continuation copy after the tree.
+    copy_off = len(ends)
+    for node in frontier:
+        for agent in sig.agents:
+            succ[agent].append(tuple([copy_off + v for v in m._succ[agent][ends[node]]]))
     valuation: dict[str, list] = {p: [] for p in sig.props}
-    for node, path in enumerate(paths):
-        endpoint = path[-1][1] if path else start
+    for node, endpoint in enumerate(ends):
         for p in m.props_of(endpoint):
             valuation[p].append(node)
-        at_frontier = len(path) == depth - 1
-        for ai, agent in enumerate(sig.agents):
-            vs = m._succ[agent][endpoint]
-            kids = [copy_off + v for v in vs] if at_frontier else [node_of[path + ((ai, v),)] for v in vs]
-            succ[agent].append(tuple(kids))
-    for agent in sig.agents:
-        succ[agent].extend(_shifted(m._succ[agent], copy_off))
-    for p in sig.props:
-        valuation[p].extend(copy_off + w for w in m.valuation[p])
-
+    _append(succ, valuation, m, copy_off)
     return PointedStructure(KripkeStructure._assemble(sig, copy_off + m.world_count, valuation, succ), 0)
 
 
@@ -532,10 +495,7 @@ def _realize(sig: Signature, atoms: tuple, children: list[tuple[str, PointedStru
         sub = child.structure
         # Offsets grow in list order, so each root array comes out sorted.
         root[agent].append(offset + child.point)
-        for ag in sig.agents:
-            succ[ag].extend(_shifted(sub._succ[ag], offset))
-        for p in sig.props:
-            valuation[p].extend(offset + w for w in sub.valuation[p])
+        _append(succ, valuation, sub, offset)
         offset += sub.world_count
     for agent in sig.agents:
         succ[agent][0] = tuple(root[agent])

@@ -199,6 +199,12 @@ def test_catalog_mode_consistent_with_entries():
             assert (chi_a is chi_b) == bool(bounded_equivalence(a, b, 1, depth))
 
 
+def test_catalog_mode_refuses_bare_mode():
+    cat = enumerate_types(SIG_A, 2, 1)
+    with pytest.raises(ValueError, match="exclude each other"):
+        characteristic_formula(fan(2), 2, 1, catalog=cat, exclude_unrealized=False)
+
+
 def test_catalog_guard():
     with pytest.raises(ResourceLimitError, match="more than 5000 entries"):
         enumerate_types(SIG_AP, 2, 2)

@@ -89,6 +89,12 @@ def test_char_and_literal_flag(capsys):
     assert "!" in guarded and "!" not in bare
 
 
+def test_char_catalog_and_literal_chi_exclude_each_other(capsys):
+    code = run(["char", _path("fan3.kr"), "--c", "2", "--l", "1", "--catalog", "--literal-chi"])
+    assert code == 2
+    assert "not allowed with argument --catalog" in capsys.readouterr().err
+
+
 def test_types_guard_exit_code(capsys):
     code = run(
         ["types", "--agents", "a", "--props", "p", "--c", "2", "--l", "2"]
@@ -168,6 +174,19 @@ def test_translate_and_fo_commands(capsys):
     capsys.readouterr()
 
     assert run(["local", "E y Ea(x,y)", _path("fan3.kr"), "--l", "1"]) == 0
+
+
+@pytest.mark.parametrize("var", ["x)", ""])
+def test_translate_refuses_a_variable_the_fo_parser_rejects(capsys, var):
+    # These used to print "E y1 (Ea(x),y1) & p(y1))" and "Ea(,y1)" and exit 0.
+    assert run(["translate", "<a:1> p", "--var", var]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not an identifier" in captured.err
+
+
+def test_fo_eval_refuses_a_variable_assigned_twice(capsys):
+    assert run(["fo-eval", _path("fan3.kr"), "p(x)", "--assign", "x=1,x=0"]) == 2
+    assert "variable 'x' is assigned twice" in capsys.readouterr().err
 
 
 def test_pad(capsys):

@@ -1,7 +1,9 @@
-"""Every private helper of the package is used somewhere, and every import
-of a module is used by that module."""
+"""Every private helper of the package is used somewhere, every import of
+a module is used by that module, and the package imports only the standard
+library and itself."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -72,3 +74,22 @@ def test_no_unused_imports():
                     if bound not in used and "." + bound not in used:
                         unused.append(f"{module}:{bound}")
     assert unused == []
+
+
+def test_package_imports_only_the_standard_library():
+    foreign = []
+    for module, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                continue  # a relative import stays inside the package
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top != "gradedmodal":
+                    foreign.append(f"{module}:{name}")
+    assert foreign == []

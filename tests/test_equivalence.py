@@ -208,6 +208,14 @@ def test_root_pair_alone_fails():
     assert check.violation.agent == "a"
 
 
+def test_relation_checker_witnesses_atoms_and_back():
+    line = KripkeStructure(Signature(("a",), ("p",)), 3, {"a": [(0, 1), (1, 2)]}, {"p": [2]})
+    check = relation_is_graded_bisimulation({(0, 2)}, line, line)
+    assert check.violation == RelationViolation("atoms", (0, 2))
+    check = relation_is_graded_bisimulation({(0, 0), (1, 1)}, fan(1).structure, fan(2).structure)
+    assert check.violation == RelationViolation("back", (0, 0), "a", 2)
+
+
 def test_stable_relation_is_bisimulation():
     rng = random.Random(97)
     hits = 0

@@ -382,6 +382,19 @@ def test_smallest_tree_terms_match_the_full_enumeration():
                     assert exhausted == (len(full) <= budget)
 
 
+def test_find_cap_mixes_in_samples_past_the_budget(monkeypatch):
+    budget = 12
+    monkeypatch.setattr(folink, "CAP_SEARCH_BUDGET", budget)
+    terms, exhausted = _smallest_tree_terms(SIG_AP, 1, 5, budget)
+    assert not exhausted and len(terms) == budget
+    rng = random.Random(0)
+    extra = {_random_tree_term(rng, SIG_AP, 1, 5) for _ in range(folink.CAP_SEARCH_SAMPLES)}
+    result = find_cap(1, 1, SIG_AP, 5)
+    assert result.exhaustive is False
+    assert result.structures_examined == budget + len(extra - set(terms))
+    assert find_cap(1, 1, SIG_AP, 5) == result
+
+
 def test_upgrade_identical_inputs():
     report = upgrade_pipeline(parse_formula("<a:2> true"), fan(2), fan(2), cap=2)
     assert report.quantifier_rank == 2
@@ -448,6 +461,14 @@ def test_fo_round_trip():
     parsed = parse_fo_formula(sample)
     assert parsed == Exists("y1", FOAnd(EdgeAtom("a", "x", "y1"), PropAtom("p", "y1")))
     assert format_fo_formula(parsed) == sample
+    assert format_fo_formula(Forall("y", PropAtom("p", "y"))) == "A y p(y)"
+    assert parse_fo_formula("(p(x))") == PropAtom("p", "x")
+
+
+@pytest.mark.parametrize("var", ["x)", "", "1x", "x y"])
+def test_translation_refuses_a_variable_that_does_not_parse(var):
+    with pytest.raises(ValueError, match="not an identifier"):
+        standard_translation(Diamond("a", 1, Prop("p")), var)
 
 
 def test_free_vars():

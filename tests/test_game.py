@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gradedmodal import (
     FragmentBound,
     KripkeStructure,
+    PointedStructure,
     ResourceLimitError,
     Signature,
     SignatureError,
@@ -165,6 +166,18 @@ def test_forged_spoiler_challenge_rejected():
         strategy = {(0, 0, 1): SpoilerPlay(move, {})}
         forged = GameResult(SPOILER, 2, 1, GamePosition(0, 0, 1), strategy)
         assert not verify_strategy(forged, a, a)
+
+
+def test_forged_claims_at_terminal_positions_rejected():
+    from gradedmodal.game import GamePosition
+
+    # With no round left, atom-equal points are a duplicator win and points
+    # whose atoms differ a spoiler win, so neither claim needs a strategy.
+    sig = Signature(("a",), ("p",))
+    marked = KripkeStructure(sig, 2, {"a": [(0, 1)]}, {"p": [1]})
+    a, b = PointedStructure(marked, 0), PointedStructure(marked, 1)
+    assert not verify_strategy(GameResult(SPOILER, 1, 0, GamePosition(0, 0, 0), {}), a, a)
+    assert not verify_strategy(GameResult(DUPLICATOR, 1, 0, GamePosition(0, 1, 0), {}), a, b)
 
 
 def test_monotonicity_of_spoiler_wins():

@@ -343,6 +343,28 @@ def test_treelike_matches_brute_force():
         assert report.ok == _treelike_brute_force(m.structure, m.point, radius)
 
 
+def test_treelike_acyclicity_witnesses_are_cycles():
+    rng = random.Random(53)
+    cycles = 0
+    for _ in range(400):
+        m = random_structure(rng, random_signature(rng), max_worlds=8, edge_prob=0.2)
+        radius = rng.randint(0, 3)
+        report = is_rooted_treelike(m.structure, m.point, radius)
+        if report.failed != "acyclicity":
+            continue
+        sub = restrict(m.structure, neighborhood(m.structure, m.point, radius), point=m.point)
+        edges = set().union(*sub.structure.edges.values())
+        undirected = edges | {(v, u) for u, v in edges}
+        witness = report.witness
+        if len(witness) == 2 and witness[0] == witness[1]:
+            assert witness in edges
+            continue
+        cycles += 1
+        assert len(set(witness)) == len(witness) >= 3
+        assert all(pair in undirected for pair in zip(witness, witness[1:] + witness[:1]))
+    assert cycles >= 20
+
+
 def test_unravel_rejects_zero_depth():
     with pytest.raises(ValueError):
         unravel(loop1(), 0)

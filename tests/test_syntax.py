@@ -63,6 +63,22 @@ def test_unexpected_character_reported_at_its_own_column():
         assert str(info.value) == f"unexpected character '#' (column {column})"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("<a:1", "unexpected end of input (column 5)"),
+        ("<a 1> p", "expected ':', got '1' (column 5)"),
+        ("(p", "unexpected end of input (column 3)"),
+        ("(p q)", "expected '&' or '|', got 'q' (column 5)"),
+        (")", "unexpected token ')' (column 1)"),
+    ],
+)
+def test_parse_error_messages_and_columns(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_formula(text)
+    assert str(info.value) == message
+
+
 def test_format_fixtures():
     assert format_formula(Diamond("a", 1, Top())) == "<a:1> true"
     assert format_formula(And(Prop("p"), Not(Prop("q")))) == "(p & !q)"
