@@ -30,7 +30,7 @@ from typing import Optional
 from .equivalence import bounded_equivalence, refine_to
 from .errors import GradedModalError, ResourceLimitError, SignatureError
 from .kripke import PointedStructure, Signature, _realize, disjoint_union, part_offsets
-from .semantics import satisfies
+from .semantics import _truth, satisfies
 from .syntax import (
     And,
     Diamond,
@@ -96,8 +96,10 @@ def characteristic_formula(
             raise SignatureError("catalog signature differs from the structure's")
         if catalog.cap != cap or catalog.depth < depth:
             raise ValueError("catalog bounds do not cover the requested bounds")
-        # The level's formulas partition the signature's pointed structures.
-        return next(f for f in catalog.level_formulas[depth] if satisfies(target, f))
+        # The level's formulas partition the signature's pointed structures;
+        # they share their lower levels, so one memo serves the whole scan.
+        memo: dict = {}
+        return next(f for f in catalog.level_formulas[depth] if _truth(target, f, memo))
 
     history = refine_to(m, cap, depth=depth)
 

@@ -23,12 +23,12 @@ import itertools
 import random as _random_module
 import re
 from dataclasses import dataclass
+from string import ascii_letters
 from typing import Mapping, Optional
 
 from .equivalence import bounded_equivalence, full_graded_bisimilarity, refine_to
 from .errors import (
     EvaluationError,
-    ParseError,
     ResourceLimitError,
     SignatureError,
 )
@@ -55,7 +55,8 @@ from .syntax import (
     Or,
     Prop,
     Top,
-    _tokenize,
+    _parse_error,
+    _tokens,
     format_formula,
 )
 
@@ -956,22 +957,20 @@ def format_fo_formula(formula: FOFormula) -> str:
     raise TypeError(f"not an FO formula: {formula!r}")
 
 
-_FO_TOKEN = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<punct>[()&|!,=])|(?P<bad>\S))"
-)
+_FO_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[()&|!,=]|\S")
+_FO_STARTS = ascii_letters + "()&|!,="
 
 
 def parse_fo_formula(text: str) -> FOFormula:
     """Parse the FO concrete syntax; ``format_fo_formula`` inverts it."""
-    tokens = _tokenize(_FO_TOKEN, text)
+    tokens = _tokens(_FO_TOKEN, _FO_STARTS, text)
     end = len(tokens)
     pos = 0
 
     def fail(message: str, index: int):
-        column = tokens[index][2] + 1 if index < end else len(text) + 1
-        raise ParseError(message, column=column)
+        raise _parse_error(_FO_TOKEN, text, message, index)
 
-    def take() -> tuple[str, str, int]:
+    def take() -> str:
         nonlocal pos
         if pos == end:
             fail("unexpected end of input", pos)
@@ -980,52 +979,52 @@ def parse_fo_formula(text: str) -> FOFormula:
 
     def expect(kind: str) -> None:
         token = take()
-        if token[0] != kind:
-            fail(f"expected {kind!r}, got {token[1]!r}", pos)
+        if token != kind:
+            fail(f"expected {kind!r}, got {token!r}", pos)
 
     def variable(message: str = "expected a variable") -> str:
-        kind, value, _ = take()
-        if kind != "ident":
+        token = take()
+        if token[0] not in ascii_letters:
             fail(message, pos)
-        return value
+        return token
 
     def formula() -> FOFormula:
         nonlocal pos
-        kind, value, _ = take()
-        if kind == "!":
+        token = take()
+        if token == "!":
             return FONot(formula())
-        if kind == "(":
+        if token == "(":
             left = formula()
-            op, op_value, _ = take()
+            op = take()
             if op == ")":
                 return left
             if op != "&" and op != "|":
-                fail(f"expected '&', '|' or ')', got {op_value!r}", pos)
+                fail(f"expected '&', '|' or ')', got {op!r}", pos)
             right = formula()
             expect(")")
             return FOAnd(left, right) if op == "&" else FOOr(left, right)
-        if kind == "ident":
-            following = tokens[pos][0] if pos < end else None
-            if value in ("E", "A") and following == "ident":
-                return (Exists if value == "E" else Forall)(take()[1], formula())
+        if token[0] in ascii_letters:
+            following = tokens[pos] if pos < end else " "  # past the end: no token
+            if token in ("E", "A") and following[0] in ascii_letters:
+                return (Exists if token == "E" else Forall)(take(), formula())
             if following == "(":
                 pos += 1
                 first = variable()
-                after, after_value, _ = take()
+                after = take()
                 if after == ")":
-                    return PropAtom(value, first)
+                    return PropAtom(token, first)
                 if after != ",":
-                    fail(f"expected ',' or ')', got {after_value!r}", pos)
+                    fail(f"expected ',' or ')', got {after!r}", pos)
                 second = variable()
                 expect(")")
-                if not value.startswith("E") or len(value) < 2:
-                    fail(f"edge atoms look like E<agent>(u,v), got {value!r}", pos)
-                return EdgeAtom(value[1:], first, second)
+                if not token.startswith("E") or len(token) < 2:
+                    fail(f"edge atoms look like E<agent>(u,v), got {token!r}", pos)
+                return EdgeAtom(token[1:], first, second)
             if following == "=":
                 pos += 1
-                return Eq(value, variable("expected a variable after '='"))
-            fail(f"unexpected name {value!r}", pos)
-        fail(f"unexpected token {value!r}", pos - 1)
+                return Eq(token, variable("expected a variable after '='"))
+            fail(f"unexpected name {token!r}", pos)
+        fail(f"unexpected token {token!r}", pos - 1)
 
     result = formula()
     if pos < end:

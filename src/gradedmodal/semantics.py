@@ -76,10 +76,15 @@ def satisfies(pointed: PointedStructure, formula: Formula) -> bool:
     Evaluates point-locally with early exits, which is much faster than
     ``extension`` on wide disjunctions such as normal forms.
     """
+    _check_symbols(pointed.structure, formula)
+    return _truth(pointed, formula, {})
+
+
+def _truth(pointed: PointedStructure, formula: Formula, memo: dict) -> bool:
+    """``satisfies`` without the symbol check, reading and filling ``memo``,
+    the truth of (world, node) pairs, which calls on one structure can share."""
     m = pointed.structure
-    _check_symbols(m, formula)
     valuation = m.valuation
-    memo: dict[tuple[int, Formula], bool] = {}
 
     def known(world: int, f: Formula):
         """The truth of ``f`` at ``world`` if it is an atom or done, else None."""

@@ -10,6 +10,7 @@ connectives)::
         | "[" IDENT ":" INT "]" f        -- box; parser sugar, see below
 
     IDENT = [A-Za-z][A-Za-z0-9_]*
+    INT   = [0-9]+
 
 ``[a:k] f`` desugars to ``!<a:k> !f``; the core AST and the printer know
 only the diamond form, so depth/rank/model-checking definitions stay
@@ -22,6 +23,8 @@ import re
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
+from string import ascii_letters, digits
 
 from .errors import ParseError
 
@@ -209,82 +212,83 @@ def or_all(formulas: list[Formula]) -> Formula:
     return acc
 
 
-# The last group catches any other character, so one scan finds every token
-# and the first bad character.  The FO grammar's pattern follows the same
-# scheme.
-_TOKEN = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<punct>[()&|!<>:\[\]])|(?P<bad>\S))"
-)
+# Group-free, so ``findall`` returns the token strings; the last alternative
+# catches any other character.  A token's kind is its first character's:
+# an ASCII letter starts a name, an ASCII digit a grade, and anything else
+# is punctuation or, outside ``_STARTS``, a bad character.
+_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[0-9]+|[()&|!<>:\[\]]|\S")
+_STARTS = ascii_letters + digits + "()&|!<>:[]"
 
 
-def _tokenize(pattern: "re.Pattern[str]", text: str) -> list[tuple[str, str, int]]:
-    """Tokens as (kind, value, start); a punctuation token's kind is itself.
+def _parse_error(pattern: "re.Pattern[str]", text: str, message: str, index: int) -> ParseError:
+    """The error at the ``index``-th token of ``text``, or past its end;
+    the column costs a second scan, made only here."""
+    match = next(islice(pattern.finditer(text), index, None), None)
+    return ParseError(message, column=len(text) + 1 if match is None else match.start() + 1)
 
-    ``pattern`` names its groups by token kind and ends in a ``bad`` group
-    matching any other non-space character, which is reported at its own
-    column.
-    """
-    tokens = []
-    for match in pattern.finditer(text):
-        kind = match.lastgroup
-        value = match[kind]
-        if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", column=match.start(kind) + 1)
-        tokens.append((value if kind == "punct" else kind, value, match.start(kind)))
+
+def _tokens(pattern: "re.Pattern[str]", starts: str, text: str) -> list[str]:
+    """The token strings of ``text``; a token that does not start with one
+    of ``starts`` is reported as an unexpected character at its column."""
+    tokens = pattern.findall(text)
+    bad = [token for token in set(tokens) if token[0] not in starts]
+    if bad:
+        index = min(map(tokens.index, bad))
+        raise _parse_error(pattern, text, f"unexpected character {tokens[index]!r}", index)
     return tokens
 
 
 def parse_formula(text: str) -> Formula:
-    tokens = _tokenize(_TOKEN, text)
+    """Parse the grammar above, building each distinct subformula once: a
+    node is looked up by its constructor and children before it is built."""
+    tokens = _tokens(_TOKEN, _STARTS, text)
     end = len(tokens)
     pos = 0
+    memo: dict = {"true": TOP, "false": BOT}
 
     def fail(message: str, index: int):
-        column = tokens[index][2] + 1 if index < end else len(text) + 1
-        raise ParseError(message, column=column)
+        raise _parse_error(_TOKEN, text, message, index)
 
-    def take(kind: str, what: str = "") -> str:
-        """The next token's value; it must be of ``kind``."""
+    def take(starts: str, what: str = "") -> str:
+        """The next token; it must start with one of ``starts``."""
         nonlocal pos
         if pos == end:
             fail("unexpected end of input", pos)
         token = tokens[pos]
         pos += 1
-        if token[0] != kind:
-            fail(f"expected {what or repr(kind)}, got {token[1]!r}", pos)
-        return token[1]
+        if token[0] not in starts:
+            fail(f"expected {what or repr(starts)}, got {token!r}", pos)
+        return token
 
     def formula() -> Formula:
         nonlocal pos
         if pos == end:
             fail("unexpected end of input", pos)
-        kind, value, _ = tokens[pos]
+        token = tokens[pos]
         pos += 1
-        if kind == "ident":
-            return TOP if value == "true" else BOT if value == "false" else Prop(value)
-        if kind == "!":
-            return Not(formula())
-        if kind == "(":
+        if token == "!":
+            key = (Not, formula())
+        elif token == "(":
             left = formula()
-            if pos == end:
-                fail("unexpected end of input", pos)
-            op, op_value, _ = tokens[pos]
-            pos += 1
-            if op != "&" and op != "|":
-                fail(f"expected '&' or '|', got {op_value!r}", pos)
-            right = formula()
+            op = take("&|", "'&' or '|'")
+            key = (And if op == "&" else Or, left, formula())
             take(")")
-            return And(left, right) if op == "&" else Or(left, right)
-        if kind == "<" or kind == "[":
-            agent = take("ident", "a name")
+        elif token == "<" or token == "[":
+            agent = take(ascii_letters, "a name")
             take(":")
-            grade = int(take("int", "a grade"))
+            grade = int(take(digits, "a grade"))
             if grade < 1:
                 fail("grades start at 1", pos)
-            take(">" if kind == "<" else "]")
-            child = formula()
-            return Diamond(agent, grade, child) if kind == "<" else box(agent, grade, child)
-        fail(f"unexpected token {value!r}", pos - 1)
+            take(">" if token == "<" else "]")
+            key = (Diamond if token == "<" else box, agent, grade, formula())
+        elif token[0] in ascii_letters:
+            key = token
+        else:
+            fail(f"unexpected token {token!r}", pos - 1)
+        node = memo.get(key)
+        if node is None:
+            node = memo[key] = Prop(key) if type(key) is str else key[0](*key[1:])
+        return node
 
     result = formula()
     if pos < end:

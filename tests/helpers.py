@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from gradedmodal import (
     And,
     Bot,
@@ -11,6 +13,7 @@ from gradedmodal import (
     KripkeStructure,
     Not,
     Or,
+    ParseError,
     PointedStructure,
     Prop,
     Signature,
@@ -141,3 +144,39 @@ def related_pair(
         return a, random_structure(rng, sig, max_worlds)
     twin = PointedStructure(a.structure, rng.randrange(a.structure.world_count))
     return a, twin
+
+
+def parse_outcome(parse, text: str):
+    """What a parser makes of ``text``: ("node", result) or ("error",
+    message, column)."""
+    try:
+        return "node", parse(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.column
+
+
+@st.composite
+def spaced(draw, tokens: list[str]) -> str:
+    """The tokens joined by random whitespace; two name-or-number tokens in
+    a row get at least one space, so that they stay two tokens."""
+    gaps = st.sampled_from(["", " ", "  ", "\t", "\n", " \r\n "])
+    text = draw(gaps)
+    for before, token in zip([""] + tokens, tokens):
+        gap = draw(gaps)
+        if before[-1:].isalnum() and token[0].isalnum() and not gap:
+            gap = " "
+        text += gap + token
+    return text + draw(gaps)
+
+
+@st.composite
+def corrupted(draw, text: str, inserts: list[str]) -> str:
+    """``text`` truncated, with one character deleted, or with one of
+    ``inserts`` put in at a random position."""
+    index = draw(st.integers(0, len(text)))
+    how = draw(st.sampled_from(["truncate", "delete", "insert"]))
+    if how == "truncate":
+        return text[:index]
+    if how == "delete":
+        return text[:index] + text[index + 1:]
+    return text[:index] + draw(st.sampled_from(inserts)) + text[index:]

@@ -29,11 +29,17 @@ agent or proposition names as a ``SignatureError`` with no line.
 ``unravel`` builds the unravelling as pair sets for the validating
 constructor, and ``dump_structure`` writes each agent's edges by sorting
 its pair set; both read the ``edges`` view.
+``scan_catalog_formula`` is catalog-mode χ as one ``satisfies`` call per
+level formula, each with its own memo.  ``parse_formula`` and
+``parse_fo_formula`` are the parsers over ``_tokenize``, which builds one
+(kind, value, start) tuple per token from named groups; ``parse_formula``
+builds every node through its constructor.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping, Optional, Union
@@ -71,7 +77,19 @@ from gradedmodal.game import (
 )
 from gradedmodal.kripke import KripkeStructure, PointedStructure, Signature
 from gradedmodal.semantics import satisfies
-from gradedmodal.syntax import Formula, Not, format_formula, nesting_depth
+from gradedmodal.syntax import (
+    BOT,
+    TOP,
+    And,
+    Diamond,
+    Formula,
+    Not,
+    Or,
+    Prop,
+    box,
+    format_formula,
+    nesting_depth,
+)
 
 
 def _level_keys(m: KripkeStructure, prev: list, cap: Optional[int]) -> list:
@@ -701,3 +719,167 @@ def print_ranked_distinguishing_formula(
         if not satisfies(b, conjunct):
             return conjunct
     raise AssertionError("inequivalent points both satisfy the characteristic formula")
+
+
+# The last group catches any other character, so one scan finds every token
+# and the first bad character.  The FO grammar's pattern follows the same
+# scheme.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<punct>[()&|!<>:\[\]])|(?P<bad>\S))"
+)
+
+
+def _tokenize(pattern: "re.Pattern[str]", text: str) -> list[tuple[str, str, int]]:
+    """Tokens as (kind, value, start); a punctuation token's kind is itself.
+
+    ``pattern`` names its groups by token kind and ends in a ``bad`` group
+    matching any other non-space character, which is reported at its own
+    column.
+    """
+    tokens = []
+    for match in pattern.finditer(text):
+        kind = match.lastgroup
+        value = match[kind]
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", column=match.start(kind) + 1)
+        tokens.append((value if kind == "punct" else kind, value, match.start(kind)))
+    return tokens
+
+
+def parse_formula(text: str) -> Formula:
+    tokens = _tokenize(_TOKEN, text)
+    end = len(tokens)
+    pos = 0
+
+    def fail(message: str, index: int):
+        column = tokens[index][2] + 1 if index < end else len(text) + 1
+        raise ParseError(message, column=column)
+
+    def take(kind: str, what: str = "") -> str:
+        """The next token's value; it must be of ``kind``."""
+        nonlocal pos
+        if pos == end:
+            fail("unexpected end of input", pos)
+        token = tokens[pos]
+        pos += 1
+        if token[0] != kind:
+            fail(f"expected {what or repr(kind)}, got {token[1]!r}", pos)
+        return token[1]
+
+    def formula() -> Formula:
+        nonlocal pos
+        if pos == end:
+            fail("unexpected end of input", pos)
+        kind, value, _ = tokens[pos]
+        pos += 1
+        if kind == "ident":
+            return TOP if value == "true" else BOT if value == "false" else Prop(value)
+        if kind == "!":
+            return Not(formula())
+        if kind == "(":
+            left = formula()
+            if pos == end:
+                fail("unexpected end of input", pos)
+            op, op_value, _ = tokens[pos]
+            pos += 1
+            if op != "&" and op != "|":
+                fail(f"expected '&' or '|', got {op_value!r}", pos)
+            right = formula()
+            take(")")
+            return And(left, right) if op == "&" else Or(left, right)
+        if kind == "<" or kind == "[":
+            agent = take("ident", "a name")
+            take(":")
+            grade = int(take("int", "a grade"))
+            if grade < 1:
+                fail("grades start at 1", pos)
+            take(">" if kind == "<" else "]")
+            child = formula()
+            return Diamond(agent, grade, child) if kind == "<" else box(agent, grade, child)
+        fail(f"unexpected token {value!r}", pos - 1)
+
+    result = formula()
+    if pos < end:
+        fail("trailing input after formula", pos)
+    return result
+
+
+_FO_TOKEN = re.compile(
+    r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<punct>[()&|!,=])|(?P<bad>\S))"
+)
+
+
+def parse_fo_formula(text: str) -> FOFormula:
+    """Parse the FO concrete syntax; ``format_fo_formula`` inverts it."""
+    tokens = _tokenize(_FO_TOKEN, text)
+    end = len(tokens)
+    pos = 0
+
+    def fail(message: str, index: int):
+        column = tokens[index][2] + 1 if index < end else len(text) + 1
+        raise ParseError(message, column=column)
+
+    def take() -> tuple[str, str, int]:
+        nonlocal pos
+        if pos == end:
+            fail("unexpected end of input", pos)
+        pos += 1
+        return tokens[pos - 1]
+
+    def expect(kind: str) -> None:
+        token = take()
+        if token[0] != kind:
+            fail(f"expected {kind!r}, got {token[1]!r}", pos)
+
+    def variable(message: str = "expected a variable") -> str:
+        kind, value, _ = take()
+        if kind != "ident":
+            fail(message, pos)
+        return value
+
+    def formula() -> FOFormula:
+        nonlocal pos
+        kind, value, _ = take()
+        if kind == "!":
+            return FONot(formula())
+        if kind == "(":
+            left = formula()
+            op, op_value, _ = take()
+            if op == ")":
+                return left
+            if op != "&" and op != "|":
+                fail(f"expected '&', '|' or ')', got {op_value!r}", pos)
+            right = formula()
+            expect(")")
+            return FOAnd(left, right) if op == "&" else FOOr(left, right)
+        if kind == "ident":
+            following = tokens[pos][0] if pos < end else None
+            if value in ("E", "A") and following == "ident":
+                return (Exists if value == "E" else Forall)(take()[1], formula())
+            if following == "(":
+                pos += 1
+                first = variable()
+                after, after_value, _ = take()
+                if after == ")":
+                    return PropAtom(value, first)
+                if after != ",":
+                    fail(f"expected ',' or ')', got {after_value!r}", pos)
+                second = variable()
+                expect(")")
+                if not value.startswith("E") or len(value) < 2:
+                    fail(f"edge atoms look like E<agent>(u,v), got {value!r}", pos)
+                return EdgeAtom(value[1:], first, second)
+            if following == "=":
+                pos += 1
+                return Eq(value, variable("expected a variable after '='"))
+            fail(f"unexpected name {value!r}", pos)
+        fail(f"unexpected token {value!r}", pos - 1)
+
+    result = formula()
+    if pos < end:
+        fail("trailing input after formula", pos)
+    return result
+
+
+def scan_catalog_formula(target: PointedStructure, catalog, depth: int) -> Formula:
+    return next(f for f in catalog.level_formulas[depth] if satisfies(target, f))

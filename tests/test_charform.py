@@ -1,6 +1,9 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedmodal import (
     And,
@@ -41,7 +44,7 @@ from helpers import (
     random_structure,
     related_pair,
 )
-from oracles import print_ranked_distinguishing_formula, type_descriptors
+from oracles import print_ranked_distinguishing_formula, scan_catalog_formula, type_descriptors
 
 
 def test_level_zero_is_atomic_description():
@@ -197,6 +200,20 @@ def test_catalog_mode_consistent_with_entries():
             assert any(chi_a is f for f in cat.level_formulas[depth])
             assert satisfies(a, chi_a)
             assert (chi_a is chi_b) == bool(bounded_equivalence(a, b, 1, depth))
+
+
+_catalog = functools.cache(enumerate_types)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_catalog_mode_matches_the_scan_with_a_memo_per_formula(seed):
+    rng = random.Random(seed)
+    sig, cap = rng.choice([(SIG_A, 2), (SIG_AP, 1)])
+    cat = _catalog(sig, cap, 2)
+    target = random_structure(rng, sig, edge_prob=rng.choice([0.15, 0.3, 0.5]))
+    for depth in (0, 1, 2):
+        assert characteristic_formula(target, cap, depth, catalog=cat) is scan_catalog_formula(target, cat, depth)
 
 
 def test_catalog_mode_refuses_bare_mode():

@@ -141,12 +141,25 @@ def test_unravel_and_restrict(capsys, tmp_path):
     code = run(["unravel", _path("loop1.kr"), "--depth", "2"])
     assert code == 0
     text = capsys.readouterr().out
-    assert "worlds: 3" in text
+    assert text == (
+        "structure unravelled\nagents: a\nprops:\nworlds: 3\n"
+        "edge a: 0 1\nedge a: 1 2\nedge a: 2 2\npoint: 0\n"
+    )
 
     code = run(["restrict", _path("chain3.kr"), "--around", "1", "--radius", "1"])
     assert code == 0
     out = capsys.readouterr().out
     assert "worlds: 3" in out
+
+
+def test_unravel_refuses_more_worlds_than_the_pipeline_bound(capsys, tmp_path):
+    # 2 ** 17 worlds at depth 17; checked before any world is built.
+    path = tmp_path / "loops.kr"
+    path.write_text("structure loops\nagents: a b\nprops:\nworlds: 1\nedge a: 0 0\nedge b: 0 0\npoint: 0\n")
+    start = time.perf_counter()
+    assert run(["unravel", str(path), "--depth", "17"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "depth 17 needs more than 20000 worlds" in capsys.readouterr().err
 
 
 def test_treelike(capsys):

@@ -3,7 +3,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradedmodal import (
@@ -50,15 +50,19 @@ from gradedmodal.folink import (
 from helpers import (
     SIG_A,
     SIG_AP,
+    corrupted,
     fan,
     loop1,
+    parse_outcome,
     random_formula,
     random_pair,
     random_signature,
     random_structure,
     related_pair,
+    spaced,
 )
 from oracles import full_tree_terms, naive_fo_eval, naive_fo_q_equivalent
+from oracles import parse_fo_formula as tuple_parse_fo_formula
 
 
 def test_translation_fixtures():
@@ -503,6 +507,51 @@ def test_fo_parse_errors(text, message, column):
         parse_fo_formula(text)
     assert str(info.value) == f"{message} (column {column})"
     assert info.value.column == column
+
+
+@st.composite
+def fo_tokens(draw):
+    """The tokens of an FO formula, built over a pool so that subformulas
+    repeat, or of a printed standard translation.  Names include ``E`` and
+    ``A``, which start quantifiers and edge atoms too."""
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        printed = format_fo_formula(standard_translation(random_formula(rng, SIG_AP, 3, 3)))
+        return re.findall(r"\w+|\S", printed)
+    var = st.sampled_from(["x", "y", "y1", "E", "A"])
+    atoms = [
+        lambda: [draw(var), "=", draw(var)],
+        lambda: [draw(st.sampled_from(["p", "E", "Ea", "A"])), "(", draw(var), ")"],
+        lambda: ["E" + draw(st.sampled_from(["a", "b"])), "(", draw(var), ",", draw(var), ")"],
+    ]
+    pool = [draw(st.sampled_from(atoms))() for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(0, 8))):
+        x, y = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        pool.append(draw(st.sampled_from([
+            ["!", *x],
+            ["(", *x, ")"],
+            ["(", *x, "&", *y, ")"],
+            ["(", *x, "|", *y, ")"],
+            [draw(st.sampled_from("EA")), draw(var), *x],
+        ])))
+    return pool[-1]
+
+
+@given(fo_tokens().flatmap(spaced))
+@settings(max_examples=300, deadline=None)
+def test_fo_parser_returns_the_oracles_formula(text):
+    assert parse_fo_formula(text) == tuple_parse_fo_formula(text)
+
+
+_FO_INSERTS = ["_", "\u00e9", "\u0663", "#", "1", "0", ",", "=", "(", ")", "!", "&", "E", "x", " "]
+
+
+@given(fo_tokens().flatmap(spaced).flatmap(lambda text: corrupted(text, _FO_INSERTS)))
+@example("E y (Ea(x,y) & p_(y))")
+@example("p(x) & \u0663")
+@settings(max_examples=300, deadline=None)
+def test_fo_parser_errors_match_the_oracle_on_corrupted_text(text):
+    assert parse_outcome(parse_fo_formula, text) == parse_outcome(tuple_parse_fo_formula, text)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@ import copy
 import dataclasses
 import pickle
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradedmodal import (
@@ -26,7 +27,8 @@ from gradedmodal import (
 )
 from gradedmodal.syntax import and_all, box, or_all
 
-from helpers import SIG_AP, random_formula, random_signature
+import oracles
+from helpers import SIG_AP, corrupted, parse_outcome, random_formula, random_signature, spaced
 
 
 def test_parse_fixtures():
@@ -71,6 +73,8 @@ def test_unexpected_character_reported_at_its_own_column():
         ("(p", "unexpected end of input (column 3)"),
         ("(p q)", "expected '&' or '|', got 'q' (column 5)"),
         (")", "unexpected token ')' (column 1)"),
+        # grades are ASCII digits: \d would read this one as 3
+        ("<a:\u0663> p", "unexpected character '\u0663' (column 4)"),
     ],
 )
 def test_parse_error_messages_and_columns(text, message):
@@ -273,3 +277,74 @@ def test_format_formulas_prints_each_formula_as_format_formula(fs):
     printed = format_formulas(fs)
     assert printed == [format_formula(f) for f in fs]
     assert printed == [_tree_text(f) for f in fs]
+
+
+# ---------------------------------------------------------------------------
+# The one-scan parser against the tuple-tokenizer oracle.
+# ---------------------------------------------------------------------------
+_GRADES = ("1", "2", "3", "01", "10")
+
+
+@st.composite
+def formula_tokens(draw, grades=_GRADES):
+    """The tokens of a formula in the full grammar, boxes and zero-padded
+    grades included, built over a pool so that subformulas repeat, or of a
+    printed random formula."""
+    if draw(st.booleans()):
+        return re.findall(r"\w+|\S", format_formula(draw(formulas())))
+    names = st.sampled_from(["true", "false", "p", "q", "p_1", "A2"])
+    pool = [[draw(names)] for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(0, 10))):
+        x, y = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            pool.append(["!"] + x)
+        elif kind == 1:
+            pool.append(["(", *x, draw(st.sampled_from("&|")), *y, ")"])
+        else:
+            agent, grade = draw(st.sampled_from(["a", "b"])), draw(st.sampled_from(grades))
+            pool.append(["<", agent, ":", grade, ">", *x] if kind == 2 else ["[", agent, ":", grade, "]", *x])
+    return pool[-1]
+
+
+def formula_texts(grades=_GRADES):
+    return formula_tokens(grades).flatmap(spaced)
+
+
+@given(formula_texts())
+@example("(<a:1> p & <a:2> p)")
+@example("((<a:1> p | [a:1] p) & (<b:1> p | <a:1> q))")
+@settings(max_examples=300, deadline=None)
+def test_parser_returns_the_oracles_node(text):
+    assert parse_formula(text) is oracles.parse_formula(text)
+
+
+_ASCII_GRADES = re.compile(oracles._TOKEN.pattern.replace(r"\d", "[0-9]"))
+
+
+def _oracle_outcome(text):
+    """The oracle's outcome, a grade in other than ASCII digits being an
+    unexpected character, as it is for the new tokenizer."""
+    try:
+        oracles._tokenize(_ASCII_GRADES, text)
+    except ParseError as exc:
+        return "error", str(exc), exc.column
+    return parse_outcome(oracles.parse_formula, text)
+
+
+_INSERTS = ["_", "\u00e9", "\u0663", "#", "0", "00", "(", ")", "!", "&", "<", ":", "]", "p", " "]
+
+
+@given(formula_texts(_GRADES + ("0", "00")).flatmap(lambda text: corrupted(text, _INSERTS)))
+@example("(p & #)")
+@example("<a:00> p")
+@example("(p_ | _q)")
+@settings(max_examples=300, deadline=None)
+def test_parser_errors_match_the_oracle_on_corrupted_text(text):
+    assert parse_outcome(parse_formula, text) == _oracle_outcome(text)
+
+
+@pytest.mark.parametrize("prefix, suffix", [("!", ""), ("<a:1> ", ""), ("[b:2] ", ""), ("(p & ", ")")])
+def test_parse_800_levels_deep(prefix, suffix):
+    text = prefix * 800 + "p" + suffix * 800
+    assert parse_formula(text) is oracles.parse_formula(text)
