@@ -11,6 +11,7 @@ game equivalence, which the game module cross-checks independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Optional
 
 from .errors import SignatureError
@@ -76,8 +77,16 @@ class ColorHistory:
         }
 
 
-def _atom_keys(m: KripkeStructure) -> list[tuple[bool, ...]]:
-    return [tuple(w in m.valuation[p] for p in m.signature.props) for w in m.worlds()]
+def _atom_keys(m: KripkeStructure) -> list[int]:
+    """Each world's atoms as an int, the first proposition the highest bit,
+    so the keys rank as the tuples of truth values in signature order do."""
+    keys = [0] * m.world_count
+    bit = 1 << len(m.signature.props)
+    for p in m.signature.props:
+        bit >>= 1
+        for w in m.valuation[p]:
+            keys[w] |= bit
+    return keys
 
 
 def _ranks(keys: list) -> tuple[int, ...]:
@@ -115,9 +124,11 @@ def refine_to(
     its successors' block ids as a sorted tuple in which no id occurs more
     than ``cap`` times.  ``key_of[b]`` is the key the members of block ``b``
     had when it was last computed.  A member none of whose successors
-    changed block since still has that key, so a round recomputes only the
-    predecessors of the worlds that moved; the first round recomputes every
-    world, and only a second round builds the predecessor lists.
+    changed block since still has that key, so a round after one that moved
+    fewer than half the worlds recomputes only the predecessors of the
+    worlds that moved, read from predecessor lists built on first use.  The
+    first round, and every round after one that moved at least half the
+    worlds, recomputes every world and reads no predecessor list.
     """
     if depth is not None and depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -135,22 +146,33 @@ def refine_to(
     canon = order[:]  # block id -> canonical id
     moved: Optional[list[int]] = None
     while depth is None or len(levels) <= depth:
-        dirty: Iterable[int] = range(len(block))
-        if moved is not None:
+        whole = moved is None or 2 * len(moved) >= len(block)
+        if whole:
+            dirty: Iterable[int] = range(len(block))
+        else:
             dirty = set()
             for pred in arena._predecessors().values():
                 dirty.update(*map(pred.__getitem__, moved))
         # Every key is computed before any world changes block.
+        columns = []
+        for succ in succs:
+            # Per dirty world, its successors' labels.
+            labels = map(map, repeat(label_of), succ if whole else map(succ.__getitem__, dirty))
+            if cap == 1:
+                # Capped at one, a key holds each label once.
+                found = map(sorted, map(set, labels))
+            else:
+                found = map(sorted, labels)
+                if cap is not None:
+                    # f[i] is past the cap iff f[i - cap] is the same label.
+                    found = [
+                        f if len(f) <= cap else [x for i, x in enumerate(f) if i < cap or f[i - cap] != x]
+                        for f in found
+                    ]
+            columns.append(map(tuple, found))
         touched: dict[int, dict[tuple, list[int]]] = {}
-        for w in dirty:
-            key = []
-            for succ in succs:
-                found = sorted(map(label_of, succ[w]))
-                if cap is not None and len(found) > cap:
-                    # found[i] is past the cap iff found[i - cap] is the same label.
-                    found = [x for i, x in enumerate(found) if i < cap or found[i - cap] != x]
-                key.append(tuple(found))
-            touched.setdefault(block[w], {}).setdefault(tuple(key), []).append(w)
+        for w, key in zip(dirty, zip(*columns) if columns else repeat(())):
+            touched.setdefault(block[w], {}).setdefault(key, []).append(w)
         moved = []
         splits: dict[int, list[tuple[tuple, int]]] = {}  # canonical id -> parts
         for b, groups in touched.items():

@@ -207,6 +207,11 @@ def _successor_arrays(
     per_world: list[list[int]] = [[] for _ in range(world_count)]
     for u, v in pairs:
         per_world[u].append(v)
+    return _sorted_arrays(per_world)
+
+
+def _sorted_arrays(per_world: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """Each world's successors sorted, each once however often it occurs."""
     return tuple([tuple(sorted(set(vs))) for vs in per_world])
 
 
@@ -529,14 +534,18 @@ def load_named_structure(text: str) -> tuple[str, Union[KripkeStructure, Pointed
     """Parse the text format; returns the declared name and the structure.
 
     One pass checks every line once, in file order, so the first failing
-    line is the one reported.  Edges are collected as pairs per agent and
-    the successor arrays are built from them, not checked again.
+    line is the one reported.  Edges go straight into per-world successor
+    lists.  The raw text before the ``:`` of each accepted ``edge`` line
+    without a ``#`` is remembered with its agent's lists, so a later line
+    with that head and two in-range integers after the ``:`` costs one
+    lookup and an append; every other line takes the checks below.
     """
     name = None
     agents: Optional[list[str]] = None
     props: Optional[list[str]] = None
     world_count: Optional[int] = None
-    pairs_of: dict[str, list[tuple[int, int]]] = {}
+    lists_of: dict[str, Optional[list[list[int]]]] = {}  # per agent, successors per world
+    known_heads: dict[str, list[list[int]]] = {}
     valuation: dict[str, set[int]] = {}
     point: Optional[int] = None
 
@@ -544,12 +553,25 @@ def load_named_structure(text: str) -> tuple[str, Union[KripkeStructure, Pointed
         raise ParseError(msg, line=lineno)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        head, _, rest = raw.partition(":")
+        lists = known_heads.get(head)
+        if lists is not None:
+            try:
+                first, second = rest.split()
+                u = int(first)
+                v = int(second)
+            except ValueError:
+                pass
+            else:
+                if 0 <= u < world_count and 0 <= v < world_count:
+                    lists[u].append(v)
+                    continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if name is None:
-            head, _, rest = line.partition(" ")
-            if head != "structure" or not rest.strip():
+            word, _, rest = line.partition(" ")
+            if word != "structure" or not rest.strip():
                 fail("expected 'structure <name>' as the first directive", lineno)
             name = rest.strip()
             continue
@@ -561,24 +583,22 @@ def load_named_structure(text: str) -> tuple[str, Union[KripkeStructure, Pointed
         key = key.strip()
         if key.startswith("edge "):
             agent = key[len("edge "):].strip()
-            pairs = pairs_of.get(agent)
-            if pairs is None or world_count is None:
+            if agent not in lists_of or world_count is None:
                 if agents is None or world_count is None:
                     fail("'edge' lines require 'agents' and 'worlds' first", lineno)
                 fail(f"unknown agent {agent!r}", lineno)
             fields = rest.split()
             if len(fields) != 2:
                 fail("'edge' takes exactly two worlds", lineno)
-            try:
-                u = int(fields[0])
-                v = int(fields[1])
-            except ValueError:
-                # Convert again through the checked path, which names the
-                # first token that is not an integer.
-                u, v = _int(fields[0], lineno), _int(fields[1], lineno)
+            u, v = _int(fields[0], lineno), _int(fields[1], lineno)
             if not (0 <= u < world_count and 0 <= v < world_count):
                 fail(f"edge ({u},{v}) out of range", lineno)
-            pairs.append((u, v))
+            lists = lists_of[agent]
+            if lists is None:
+                lists = lists_of[agent] = [[] for _ in range(world_count)]
+            lists[u].append(v)
+            if "#" not in raw:
+                known_heads[head] = lists
             continue
         fields = rest.split()
         if key == "agents":
@@ -587,7 +607,7 @@ def load_named_structure(text: str) -> tuple[str, Union[KripkeStructure, Pointed
             if len(set(fields)) != len(fields):
                 fail(f"duplicate agent names in {tuple(fields)!r}", lineno)
             agents = fields
-            pairs_of = {agent: [] for agent in agents}
+            lists_of = dict.fromkeys(agents)
         elif key == "props":
             if props is not None:
                 fail("duplicate 'props' line", lineno)
@@ -631,7 +651,10 @@ def load_named_structure(text: str) -> tuple[str, Union[KripkeStructure, Pointed
     if world_count is None:
         raise ParseError("missing 'worlds' line", line=1)
     sig = Signature(tuple(agents or ()), tuple(props or ()))
-    succ = {a: _successor_arrays(world_count, pairs_of[a]) for a in sig.agents}
+    succ = {
+        a: ((),) * world_count if lists_of[a] is None else _sorted_arrays(lists_of[a])
+        for a in sig.agents
+    }
     m = KripkeStructure._assemble(sig, world_count, {p: valuation.get(p, ()) for p in sig.props}, succ)
     if point is None:
         return name, m
@@ -652,6 +675,14 @@ def dump_structure(value: Union[KripkeStructure, PointedStructure], name: str = 
         m = value
     if m.world_count < 1:
         raise ValueError("cannot serialize an empty aggregate")
+    # The reader splits names at whitespace and ':' and cuts lines at '#'.
+    for kind, names in (("agent", m.signature.agents), ("proposition", m.signature.props)):
+        for symbol in names:
+            if any(c.isspace() or c in ":#" for c in symbol):
+                raise ValueError(
+                    f"cannot write {kind} {symbol!r}: names in the text format "
+                    "hold no whitespace, ':' or '#'"
+                )
     lines = [f"structure {name}"]
     lines.append(("agents: " + " ".join(m.signature.agents)).rstrip())
     lines.append(("props: " + " ".join(m.signature.props)).rstrip())

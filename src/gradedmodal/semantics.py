@@ -57,17 +57,13 @@ def extension(m: KripkeStructure, formula: Formula) -> frozenset[int]:
         elif kind is Or:
             result = memo[f.left] | memo[f.right]
         else:
-            child = memo[f.child]
-            result = frozenset(
-                u for u in m.worlds()
-                if _count_in(m.successors(f.agent, u), child) >= f.grade
-            )
+            # A successor tuple holds each world once, so the intersection
+            # counts the successors in the child's extension.
+            hits = memo[f.child].intersection
+            grade = f.grade
+            result = frozenset([u for u, vs in enumerate(m._succ[f.agent]) if len(hits(vs)) >= grade])
         memo[f] = result
     return memo[formula]
-
-
-def _count_in(successors: tuple[int, ...], target: frozenset[int]) -> int:
-    return sum(1 for v in successors if v in target)
 
 
 def satisfies(pointed: PointedStructure, formula: Formula) -> bool:

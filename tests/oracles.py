@@ -3,7 +3,9 @@
 ``refine`` is the one-round hand loop of counted refinement: it appends a
 level by ranking every world's key from ``_level_keys``, the world's
 previous label plus its per-agent (label, count) pairs; ``refine_to`` must
-return exactly its levels, canonical class ids included.
+return exactly its levels, canonical class ids included.  ``atom_keys``
+gives each world its tuple of truth values, the level-0 key that
+``atomic_history`` must rank exactly as.
 
 ``naive_fo_eval`` quantifies over every world and checks symbols only when
 an atom is reached.  ``whole_table_solve_game`` fills the duplicator's win
@@ -26,6 +28,10 @@ two-pass structure reader: it collects edges as sets and lets
 ``KripkeStructure.__init__`` convert and range-check them a second time.
 It accepts a repeated ``point:`` line (the last wins) and reports duplicate
 agent or proposition names as a ``SignatureError`` with no line.
+``pair_list_load_named_structure`` is the one-pass reader that checks every
+line in full, collects each agent's edges as a list of pairs and builds the
+successor arrays from them in a second walk; it raises every error the
+memoizing reader does, with the same message and line.
 ``unravel`` builds the unravelling as pair sets for the validating
 constructor, and ``dump_structure`` writes each agent's edges by sorting
 its pair set; both read the ``edges`` view.
@@ -46,7 +52,7 @@ from typing import Mapping, Optional, Union
 
 from gradedmodal import game
 from gradedmodal.charform import _conjuncts, characteristic_formula
-from gradedmodal.equivalence import ColorHistory, _atom_keys, _ranks, bounded_equivalence
+from gradedmodal.equivalence import ColorHistory, _ranks, bounded_equivalence
 from gradedmodal.errors import EvaluationError, ParseError, SignatureError
 from gradedmodal.folink import (
     EdgeAtom,
@@ -75,7 +81,7 @@ from gradedmodal.game import (
     _spoiler_sets,
     _successor_masks,
 )
-from gradedmodal.kripke import KripkeStructure, PointedStructure, Signature
+from gradedmodal.kripke import KripkeStructure, PointedStructure, Signature, _int, _successor_arrays
 from gradedmodal.semantics import satisfies
 from gradedmodal.syntax import (
     BOT,
@@ -90,6 +96,11 @@ from gradedmodal.syntax import (
     format_formula,
     nesting_depth,
 )
+
+
+def atom_keys(m: KripkeStructure) -> list[tuple[bool, ...]]:
+    """Each world's atoms as its tuple of truth values in signature order."""
+    return [tuple(w in m.valuation[p] for p in m.signature.props) for w in m.worlds()]
 
 
 def _level_keys(m: KripkeStructure, prev: list, cap: Optional[int]) -> list:
@@ -140,7 +151,7 @@ def type_descriptors(m: KripkeStructure, cap: Optional[int], depth: int) -> list
     they are equivalent at the cap and depth, and the descriptors sort as
     the kernel's class ids do.
     """
-    level = _atom_keys(m)
+    level = atom_keys(m)
     for _ in range(depth):
         level = _level_keys(m, level, cap)
     return level
@@ -433,6 +444,119 @@ def load_named_structure(text: str) -> tuple[str, Union[KripkeStructure, Pointed
         raise ParseError("missing 'worlds' line", line=1)
     sig = Signature(tuple(agents or ()), tuple(props or ()))
     m = KripkeStructure(sig, world_count, edges, valuation)
+    if point is None:
+        return name, m
+    return name, PointedStructure(m, point)
+
+
+def pair_list_load_named_structure(text: str) -> tuple[str, Union[KripkeStructure, PointedStructure]]:
+    """Parse the text format; returns the declared name and the structure.
+
+    One pass checks every line once, in file order, so the first failing
+    line is the one reported.  Edges are collected as pairs per agent and
+    the successor arrays are built from them, not checked again.
+    """
+    name = None
+    agents: Optional[list[str]] = None
+    props: Optional[list[str]] = None
+    world_count: Optional[int] = None
+    pairs_of: dict[str, list[tuple[int, int]]] = {}
+    valuation: dict[str, set[int]] = {}
+    point: Optional[int] = None
+
+    def fail(msg: str, lineno: int):
+        raise ParseError(msg, line=lineno)
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if name is None:
+            head, _, rest = line.partition(" ")
+            if head != "structure" or not rest.strip():
+                fail("expected 'structure <name>' as the first directive", lineno)
+            name = rest.strip()
+            continue
+        if line.startswith("structure "):
+            fail("multiple 'structure' blocks are not supported", lineno)
+        key, sep, rest = line.partition(":")
+        if not sep:
+            fail(f"malformed line {line!r}", lineno)
+        key = key.strip()
+        if key.startswith("edge "):
+            agent = key[len("edge "):].strip()
+            pairs = pairs_of.get(agent)
+            if pairs is None or world_count is None:
+                if agents is None or world_count is None:
+                    fail("'edge' lines require 'agents' and 'worlds' first", lineno)
+                fail(f"unknown agent {agent!r}", lineno)
+            fields = rest.split()
+            if len(fields) != 2:
+                fail("'edge' takes exactly two worlds", lineno)
+            try:
+                u = int(fields[0])
+                v = int(fields[1])
+            except ValueError:
+                # Convert again through the checked path, which names the
+                # first token that is not an integer.
+                u, v = _int(fields[0], lineno), _int(fields[1], lineno)
+            if not (0 <= u < world_count and 0 <= v < world_count):
+                fail(f"edge ({u},{v}) out of range", lineno)
+            pairs.append((u, v))
+            continue
+        fields = rest.split()
+        if key == "agents":
+            if agents is not None:
+                fail("duplicate 'agents' line", lineno)
+            if len(set(fields)) != len(fields):
+                fail(f"duplicate agent names in {tuple(fields)!r}", lineno)
+            agents = fields
+            pairs_of = {agent: [] for agent in agents}
+        elif key == "props":
+            if props is not None:
+                fail("duplicate 'props' line", lineno)
+            if len(set(fields)) != len(fields):
+                fail(f"duplicate proposition names in {tuple(fields)!r}", lineno)
+            props = fields
+        elif key == "worlds":
+            if world_count is not None:
+                fail("duplicate 'worlds' line", lineno)
+            if len(fields) != 1:
+                fail("'worlds' takes exactly one number", lineno)
+            world_count = _int(fields[0], lineno)
+            if world_count < 1:
+                fail("structures must have at least one world", lineno)
+        elif key.startswith("prop "):
+            prop = key[len("prop "):].strip()
+            if props is None or world_count is None:
+                fail("'prop' lines require 'props' and 'worlds' first", lineno)
+            if prop not in props:
+                fail(f"unknown proposition {prop!r}", lineno)
+            ws = [_int(t, lineno) for t in fields]
+            for w in ws:
+                if not 0 <= w < world_count:
+                    fail(f"world {w} out of range", lineno)
+            valuation.setdefault(prop, set()).update(ws)
+        elif key == "point":
+            if point is not None:
+                fail("duplicate 'point' line", lineno)
+            if world_count is None:
+                fail("'point' requires 'worlds' first", lineno)
+            if len(fields) != 1:
+                fail("'point' takes exactly one world", lineno)
+            point = _int(fields[0], lineno)
+            if not 0 <= point < world_count:
+                fail(f"point {point} out of range", lineno)
+        else:
+            fail(f"unknown directive {key!r}", lineno)
+
+    if name is None:
+        raise ParseError("empty input: no 'structure' directive", line=1)
+    if world_count is None:
+        raise ParseError("missing 'worlds' line", line=1)
+    sig = Signature(tuple(agents or ()), tuple(props or ()))
+    succ = {a: _successor_arrays(world_count, pairs_of[a]) for a in sig.agents}
+    m = KripkeStructure._assemble(sig, world_count, {p: valuation.get(p, ()) for p in sig.props}, succ)
     if point is None:
         return name, m
     return name, PointedStructure(m, point)

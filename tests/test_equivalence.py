@@ -17,11 +17,11 @@ from gradedmodal import (
     relation_is_graded_bisimulation,
     solve_game,
 )
-from gradedmodal.equivalence import RelationViolation, _max_matching
+from gradedmodal.equivalence import RelationViolation, _max_matching, _ranks
 from gradedmodal.kripke import disjoint_union, part_offsets
 
 from helpers import SIG_A, chain, fan, loop1, random_pair, random_signature, random_structure
-from oracles import refine, type_descriptors
+from oracles import atom_keys, refine, type_descriptors
 
 
 def _fan_arena_history(cap):
@@ -381,12 +381,53 @@ def _marked_chain(n: int) -> KripkeStructure:
     return KripkeStructure(sig, n, {"a": {(i, i + 1) for i in range(n - 1)}}, {"p": {n - 1}})
 
 
+def _two_out_graph(n: int, seed: int) -> KripkeStructure:
+    """Two random successors per world and agent, p at half the worlds."""
+    rng = random.Random(seed)
+    sig = Signature(("a", "b"), ("p",))
+    edges = {a: {(u, v) for u in range(n) for v in rng.sample(range(n), 2)} for a in sig.agents}
+    return KripkeStructure(sig, n, edges, {"p": set(rng.sample(range(n), n // 2))})
+
+
 def test_only_a_second_round_builds_predecessor_lists():
     chain = _marked_chain(5)
     refine_to(chain, None, depth=1)
     assert chain._pred is None
+    # The first round moves one world of five, so the second reads predecessors.
     refine_to(chain, None, depth=2)
     assert chain._pred is not None
+
+
+def test_rounds_after_mass_moves_read_no_predecessor_lists():
+    # Every round on this graph moves most worlds, so each recomputes the level.
+    graph = _two_out_graph(300, 7)
+    assert refine_to(graph, None).rounds == 3
+    assert graph._pred is None
+
+
+@pytest.mark.parametrize("arena", [_two_out_graph(300, 7), _marked_chain(60)], ids=["two-out", "chain"])
+@pytest.mark.parametrize("cap", [None, 0, 1, 2, 3])
+def test_kernel_matches_hand_loop_on_both_kinds_of_round(arena, cap):
+    # On the graph most worlds move in every round; on the chain one does.
+    history = atomic_history(arena, cap)
+    levels = [history.levels[-1]]
+    while not history.is_stable():
+        history = refine(history)
+        levels.append(history.levels[-1])
+    for depth in range(len(levels) + 1):
+        assert refine_to(arena, cap, depth=depth).levels == tuple(levels[: depth + 1]) + (
+            (levels[-1],) * max(0, depth + 1 - len(levels))
+        )
+    assert refine_to(arena, cap) == history
+
+
+@pytest.mark.parametrize("props", range(6))
+def test_atomic_level_ranks_the_truth_value_tuples(props):
+    rng = random.Random(props)
+    sig = Signature(("a",), tuple(f"p{i}" for i in range(props)))
+    n = 40
+    m = KripkeStructure(sig, n, {}, {p: {w for w in range(n) if rng.random() < 0.5} for p in sig.props})
+    assert atomic_history(m, None).levels[0] == _ranks(atom_keys(m))
 
 
 def test_long_marked_chain_takes_one_round_per_world():

@@ -35,6 +35,7 @@ from gradedmodal.kripke import _realize, load_named_structure, part_offsets
 from helpers import SIG_A, SIG_AP, chain, fan, loop1, random_signature, random_structure
 from oracles import dump_structure as pair_sorted_dump
 from oracles import load_named_structure as two_pass_load
+from oracles import pair_list_load_named_structure as pair_list_load
 from oracles import unravel as pair_set_unravel
 
 
@@ -511,6 +512,63 @@ def test_loader_matches_the_two_pass_oracle(seed, pointed, mutations, comment_ev
     assert _outcome(load_named_structure, text) == _outcome(two_pass_load, text)
 
 
+def _edge_variants(agent: str, u: int, v: int, n: int) -> list[str]:
+    """Edge lines for ``agent`` that a memoized head must not let through
+    unchecked, or must read exactly as the full checks do."""
+    head = f"edge {agent}"
+    return [
+        f"{head}: {u} {v}  # a comment after the edge",
+        f"{head}:{u} {v}#",
+        f"{head} : {u} {v}",
+        f"  {head}  :  {u}\t{v}  ",
+        f"{head}: +1 {v}",
+        f"{head}: {u} 1_0",
+        f"{head}: \u0663 {u}",
+        f"{head}: {u} {v} {v}",
+        f"{head}: {u}",
+        f"{head}: {u} {n}",
+        f"{head}: -1 {v}",
+        f"{head}: {u} x",
+        f"{head}: 1.5 {v}",
+        f"edge c: {u} {v}",
+        f"edge #{agent}: {u} {v}",
+        f"{head}#x: {u} {v}",
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pointed=st.booleans(),
+    edits=st.lists(st.tuples(st.integers(0, 999), st.integers(0, 15)), max_size=3),
+    edge_before_worlds=st.booleans(),
+)
+def test_loader_matches_the_pair_list_oracle(seed, pointed, edits, edge_before_worlds):
+    # Edits land on edge lines, most of them after an earlier line with the
+    # same head, where the loader's memo of accepted heads is consulted.
+    rng = random.Random(seed)
+    m = random_structure(rng, random_signature(rng), max_worlds=12, edge_prob=0.3)
+    n = m.structure.world_count
+    lines = dump_structure(m if pointed else m.structure, name="case").splitlines()
+    edge_at = [i for i, line in enumerate(lines) if line.startswith("edge ")]
+    for at, variant in edits:
+        if edge_at:
+            i = edge_at[at % len(edge_at)]
+            agent = lines[i][len("edge "):].partition(":")[0]
+            lines[i] = _edge_variants(agent, rng.randrange(n), rng.randrange(n), n)[variant]
+    if edge_before_worlds and edge_at:
+        lines.insert(3, lines[edge_at[-1]])
+    text = "\n".join(lines) + "\n"
+    assert _outcome(load_named_structure, text) == _outcome(pair_list_load, text)
+
+
+@pytest.mark.parametrize("variant", range(16))
+def test_loader_reads_a_remembered_head_as_the_oracle_does(variant):
+    lines = ["structure x", "agents: a b", "props: p", "worlds: 12", "edge a: 0 1", "edge b: 2 3"]
+    text = "\n".join(lines + [_edge_variants("a", 4, 5, 12)[variant], "edge a: 6 7"]) + "\n"
+    assert _outcome(load_named_structure, text) == _outcome(pair_list_load, text)
+
+
 def test_part_offsets():
     parts = [fan(2).structure, fan(3).structure, loop1().structure]
     assert part_offsets(parts) == (0, 3, 7)
@@ -597,6 +655,33 @@ def test_props_of_reads_the_valuation_in_signature_order():
         for w in (-1, m.world_count):
             with pytest.raises(ValueError, match="out of range"):
                 m.props_of(w)
+
+
+def _dump_refusal(agent: str, prop: str) -> str:
+    """The message with which ``dump_structure`` refuses a one-edge
+    structure over ``agent`` and ``prop``."""
+    m = KripkeStructure(Signature((agent,), (prop,)), 2, {agent: [(0, 1)]}, {prop: [1]})
+    with pytest.raises(ValueError) as info:
+        dump_structure(m)
+    return str(info.value)
+
+
+def test_dump_refuses_names_with_whitespace():
+    assert _dump_refusal("a b", "p").startswith("cannot write agent 'a b'")
+    assert _dump_refusal("a", "p\tq").startswith("cannot write proposition 'p\\tq'")
+    assert _dump_refusal("a", "p\u2028q").startswith("cannot write proposition 'p\\u2028q'")
+
+
+def test_dump_refuses_names_with_a_colon():
+    # An agent "a:b" was written, and read back as "unknown agent 'a' (line 5)".
+    assert _dump_refusal("a:b", "p").startswith("cannot write agent 'a:b'")
+    assert _dump_refusal("a", "p:q").startswith("cannot write proposition 'p:q'")
+
+
+def test_dump_refuses_names_with_a_hash():
+    # A proposition "p#q" was written, and read back as "malformed line 'prop p' (line 6)".
+    assert _dump_refusal("a#b", "p").startswith("cannot write agent 'a#b'")
+    assert _dump_refusal("a", "p#q").startswith("cannot write proposition 'p#q'")
 
 
 def test_dump_structure_matches_the_pair_sorted_dump():
