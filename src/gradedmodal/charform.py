@@ -29,7 +29,7 @@ from typing import Optional
 
 from .equivalence import bounded_equivalence, refine_to
 from .errors import GradedModalError, ResourceLimitError, SignatureError
-from .kripke import PointedStructure, Signature, _realize, disjoint_union, part_offsets
+from .kripke import PointedStructure, Signature, _prop_bits, _realize, disjoint_union, part_offsets
 from .semantics import _truth, satisfies
 from .syntax import (
     And,
@@ -52,10 +52,12 @@ from .syntax import (
 CATALOG_BUDGET = 5000
 
 
-def _atomic_description(sig: Signature, atoms: tuple[bool, ...]) -> Formula:
+def _atomic_description(sig: Signature, atoms: int) -> Formula:
+    """The conjunction of one literal per proposition, in signature order,
+    that holds exactly at the worlds with atom id ``atoms``."""
     literals: list[Formula] = []
-    for prop, holds in zip(sig.props, atoms):
-        literals.append(Prop(prop) if holds else Not(Prop(prop)))
+    for prop, bit in _prop_bits(sig):
+        literals.append(Prop(prop) if atoms & bit else Not(Prop(prop)))
     return and_all(literals)
 
 
@@ -116,9 +118,8 @@ def characteristic_formula(
             labels = history.levels[level]
             firsts[level] = {labels[w]: w for w in reversed(m.worlds())}
         rep = firsts[level][cls]
-        atoms = tuple(rep in m.valuation[p] for p in sig.props)
         if level == 0:
-            formula = _atomic_description(sig, atoms)
+            formula = _atomic_description(sig, m._atom_ids()[rep])
         else:
             conjuncts = [class_formula(level - 1, history.levels[level - 1][rep])]
             vector = history.count_vector(rep, level - 1)
@@ -186,32 +187,24 @@ class TypeCatalog:
 
 
 def catalog_size(sig: Signature, cap: int, depth: int) -> int:
-    """Number of types at the bound, computable without materializing them."""
-    count = 2 ** len(sig.props)
-    base = 2 ** len(sig.props)
-    for _ in range(depth):
-        count = base * (cap + 1) ** (len(sig.agents) * count)
-    return count
+    """Number of types at the bound, computed without materializing them:
+    the exact size when it is at most ``CATALOG_BUDGET``, else
+    ``CATALOG_BUDGET + 1``.
 
-
-def _size_exceeds(sig: Signature, cap: int, depth: int, limit: int) -> bool:
-    """Whether the catalog at the bound holds more than ``limit`` types.
-
-    The size is computed as in ``catalog_size``, level by level, but only
-    while it stays near ``limit``: the exact size can have far more digits
-    than any machine holds.
+    The size is computed level by level, but only while it stays near the
+    budget: the exact size can have far more digits than any machine holds.
     """
     base = 2 ** len(sig.props)
     count = base
     for _ in range(depth):
-        if count > limit:
-            return True
         exponent = len(sig.agents) * count
-        # (cap + 1) ** exponent is at least 2 ** (exponent * (bits - 1)).
-        if exponent * ((cap + 1).bit_length() - 1) >= limit.bit_length():
-            return True
+        # (cap + 1) ** exponent is at least 2 ** (exponent * (bits - 1)).  A
+        # level past the budget has either an exponent past it, or the next
+        # level holds base types again.
+        if exponent * ((cap + 1).bit_length() - 1) >= CATALOG_BUDGET.bit_length():
+            return CATALOG_BUDGET + 1
         count = base * (cap + 1) ** exponent
-    return count > limit
+    return min(count, CATALOG_BUDGET + 1)
 
 
 def enumerate_types(
@@ -231,12 +224,12 @@ def enumerate_types(
     """
     if cap < 0 or depth < 0:
         raise ValueError("cap and depth must be nonnegative")
-    if _size_exceeds(sig, cap, depth, CATALOG_BUDGET):
+    if catalog_size(sig, cap, depth) > CATALOG_BUDGET:
         raise ResourceLimitError(
             f"catalog would hold more than {CATALOG_BUDGET} entries, the guard's limit"
         )
 
-    atom_options = sorted(product((False, True), repeat=len(sig.props)))
+    atom_options = range(1 << len(sig.props))
     models = [_realize(sig, atoms, []) for atoms in atom_options]
     formulas = [_atomic_description(sig, atoms) for atoms in atom_options]
     level_formulas = [tuple(formulas)]

@@ -165,9 +165,7 @@ def _cmd_distinguish(args) -> tuple[bool, dict, str]:
 
 def _cmd_unravel(args) -> tuple[bool, dict, str]:
     target = _load_pointed(args.structure)
-    if folink._unravel_size(target, args.depth) > folink.UNRAVEL_WORLD_BOUND:
-        raise ResourceLimitError(f"unravelling to depth {args.depth} needs more than "
-                                 f"{folink.UNRAVEL_WORLD_BOUND} worlds")
+    folink._require_unravel_bound(target, args.depth, "unravelling")
     result = kripke.unravel(target, args.depth)
     text = kripke.dump_structure(result, name="unravelled")
     payload = {"command": "unravel", "depth": args.depth, "structure": text}

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Optional
 
-from .errors import SignatureError
 from .kripke import KripkeStructure, PointedStructure, _index, disjoint_union, part_offsets
 
 
@@ -77,18 +76,6 @@ class ColorHistory:
         }
 
 
-def _atom_keys(m: KripkeStructure) -> list[int]:
-    """Each world's atoms as an int, the first proposition the highest bit,
-    so the keys rank as the tuples of truth values in signature order do."""
-    keys = [0] * m.world_count
-    bit = 1 << len(m.signature.props)
-    for p in m.signature.props:
-        bit >>= 1
-        for w in m.valuation[p]:
-            keys[w] |= bit
-    return keys
-
-
 def _ranks(keys: list) -> tuple[int, ...]:
     """Canonical class ids: the rank of each key among the sorted distinct keys."""
     rank = {key: i for i, key in enumerate(sorted(set(keys)))}
@@ -100,10 +87,11 @@ def atomic_history(
     cap: Optional[int],
     offsets: tuple[int, ...] = (0,),
 ) -> ColorHistory:
-    """Level-0 history: worlds partitioned by their atomic type."""
+    """Level-0 history: worlds partitioned by their atomic type, each class
+    id the rank of the arena's atom id among its distinct atom ids."""
     if cap is not None and cap < 0:
         raise ValueError("cap must be nonnegative")
-    return ColorHistory(arena, cap, offsets, (_ranks(_atom_keys(arena)),))
+    return ColorHistory(arena, cap, offsets, (_ranks(arena._atom_ids()),))
 
 
 def refine_to(
@@ -262,8 +250,7 @@ class EquivalenceResult:
 def _verdict(
     a: PointedStructure, b: PointedStructure, cap: Optional[int], depth: Optional[int]
 ) -> EquivalenceResult:
-    if a.signature != b.signature:
-        raise SignatureError("the two structures carry different signatures")
+    a.signature._require_same(b.signature)
     parts = [a.structure, b.structure]
     offsets = part_offsets(parts)
     history = refine_to(disjoint_union(parts), cap, offsets, depth)
@@ -364,8 +351,7 @@ def relation_is_graded_bisimulation(
     saturates the left successor set (Hall's condition), and symmetrically
     for back.  The first violation is reported with a witness.
     """
-    if a.signature != b.signature:
-        raise SignatureError("the two structures carry different signatures")
+    a.signature._require_same(b.signature)
     pairs = sorted({(_index(u, "relation"), _index(v, "relation")) for u, v in relation})
     if not pairs:
         raise ValueError("the relation must be nonempty")
@@ -377,10 +363,10 @@ def relation_is_graded_bisimulation(
     partners: dict[int, set[int]] = {}
     for u, v in pairs:
         partners.setdefault(u, set()).add(v)
+    atoms_a, atoms_b = a._atom_ids(), b._atom_ids()
     for u, v in pairs:
-        for prop in a.signature.props:
-            if (u in a.valuation[prop]) != (v in b.valuation[prop]):
-                return RelationCheck(False, RelationViolation("atoms", (u, v)))
+        if atoms_a[u] != atoms_b[v]:
+            return RelationCheck(False, RelationViolation("atoms", (u, v)))
     for u, v in pairs:
         for agent in a.signature.agents:
             left = a.successors(agent, u)

@@ -383,13 +383,8 @@ def _fo_type(pointed: PointedStructure, q: int, table: dict) -> int:
     m = pointed.structure
     worlds = m.worlds()
     succs = [m._succ[agent] for agent in m.signature.agents]
-    own = [
-        (
-            tuple(w in m.valuation[p] for p in m.signature.props),
-            tuple(w in succ[w] for succ in succs),
-        )
-        for w in worlds
-    ]
+    atoms = m._atom_ids()
+    own = [(atoms[w], tuple(w in succ[w] for succ in succs)) for w in worlds]
     # relations[x][w]: whether w == x, and the edges x -> w and w -> x per
     # agent; built only for worlds that end a tuple of positive rank, which
     # at q = 1 is the point alone.
@@ -442,8 +437,7 @@ def fo_q_equivalent(
     sum of n^r over r <= q tuples, checked against ``BACK_AND_FORTH_BUDGET``
     before any type is computed.
     """
-    if a.signature != b.signature:
-        raise SignatureError("the two structures carry different signatures")
+    a.signature._require_same(b.signature)
     if q < 0:
         raise ValueError("q must be nonnegative")
     _check_type_budget((a, b), q)
@@ -576,6 +570,15 @@ def _unravel_size(pointed: PointedStructure, depth: int) -> int:
     return total
 
 
+def _require_unravel_bound(pointed: PointedStructure, depth: int, what: str) -> None:
+    """Refuse, before anything is built, an unravelling to ``depth`` of more
+    than ``UNRAVEL_WORLD_BOUND`` worlds; ``what`` opens the message."""
+    if _unravel_size(pointed, depth) > UNRAVEL_WORLD_BOUND:
+        raise ResourceLimitError(
+            f"{what} to depth {depth} needs more than {UNRAVEL_WORLD_BOUND} worlds"
+        )
+
+
 # Cost guards of the pipeline: the radius at which the restrictions are
 # compared by back-and-forth (and up to which the cap search looks), and the
 # world bound of each unravelling.
@@ -613,8 +616,7 @@ def upgrade_pipeline(
     worlds.  Each unravelling is refused above ``UNRAVEL_WORLD_BOUND``
     worlds before any of this work, the cap search included, starts.
     """
-    if a.signature != b.signature:
-        raise SignatureError("the two structures carry different signatures")
+    a.signature._require_same(b.signature)
     fo = standard_translation(modal_formula)
     q = quantifier_rank(fo)
     radius = (2 ** q - 1) if radius_override is None else radius_override
@@ -624,11 +626,7 @@ def upgrade_pipeline(
 
     depth = radius + 1
     for side, name in ((a, "left"), (b, "right")):
-        if _unravel_size(side, depth) > UNRAVEL_WORLD_BOUND:
-            raise ResourceLimitError(
-                f"unravelling the {name} input to depth {depth} needs more than "
-                f"{UNRAVEL_WORLD_BOUND} worlds"
-            )
+        _require_unravel_bound(side, depth, f"unravelling the {name} input")
 
     if cap is None:
         search_radius = min(radius, FO_CHECK_RADIUS)
@@ -796,13 +794,13 @@ class CapSearchResult:
 def _smallest_tree_terms(sig: Signature, depth: int, size_bound: int, budget: int):
     """The first ``budget`` canonical rooted-tree terms and whether none were cut.
 
-    A term is (atoms, tuple of (agent index, term)), with children ordered
-    by (agent index, size, term); terms come sorted by (size, term), within
-    the depth and node bounds.  The terms of each size are built once, from
+    A term is (root's atom id, tuple of (agent index, term)), with children
+    ordered by (agent index, size, term); terms come sorted by (size, term),
+    within the depth and node bounds.  The terms of each size are built once, from
     smaller ones, and enumeration stops after the first size that takes the
     count past ``budget``, so a cut never builds the larger trees it drops.
     """
-    atom_options = sorted(itertools.product((False, True), repeat=len(sig.props)))
+    atom_options = range(1 << len(sig.props))
     # sized[d][s]: the terms of depth <= d with s nodes, sorted.
     sized: list[list[list]] = [[[]] for _ in range(depth + 1)]
     # chains[d][k]: the child tuples of k nodes in all under a depth-d root,
@@ -835,13 +833,12 @@ def _smallest_tree_terms(sig: Signature, depth: int, size_bound: int, budget: in
 
 def _random_tree_term(rng, sig: Signature, depth: int, size_bound: int):
     """One random canonical tree term within the depth and node bounds."""
-    atom_options = sorted(itertools.product((False, True), repeat=len(sig.props)))
     budget = [rng.randint(1, size_bound)]
 
     def grow(level: int):
         """The term of a random subtree and its size."""
         budget[0] -= 1
-        atoms = rng.choice(atom_options)
+        atoms = rng.choice(range(1 << len(sig.props)))
         children = []
         if level > 0:
             while budget[0] > 0 and rng.random() < 0.6:

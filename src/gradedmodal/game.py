@@ -22,7 +22,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import ResourceLimitError, SignatureError
+from .errors import ResourceLimitError
 from .kripke import KripkeStructure, PointedStructure
 
 DUPLICATOR = "duplicator"
@@ -160,13 +160,13 @@ def _layers(m: KripkeStructure, point: int, depth: int) -> list[set[int]]:
 def _atom_masks(a: KripkeStructure, b: KripkeStructure, left, right) -> list[int]:
     """Per left world in ``left``, the mask of the worlds in ``right`` with
     the same atoms; the other rows are 0."""
-    same: dict[tuple[str, ...], int] = {}
+    atoms_a, atoms_b = a._atom_ids(), b._atom_ids()
+    same: dict[int, int] = {}
     for w in right:
-        atoms = b.props_of(w)
-        same[atoms] = same.get(atoms, 0) | 1 << w
+        same[atoms_b[w]] = same.get(atoms_b[w], 0) | 1 << w
     masks = [0] * a.world_count
     for u in left:
-        masks[u] = same.get(a.props_of(u), 0)
+        masks[u] = same.get(atoms_a[u], 0)
     return masks
 
 
@@ -227,8 +227,7 @@ def solve_game(
     the result is that of the whole table, and ``STEP_BUDGET`` counts no
     pair that lies at the wrong distance from the start.
     """
-    if a.signature != b.signature:
-        raise SignatureError("the two structures carry different signatures")
+    a.signature._require_same(b.signature)
     if cap < 0 or rounds < 0:
         raise ValueError("cap and rounds must be nonnegative")
     ka, kb = a.structure, b.structure
@@ -363,13 +362,14 @@ def _extract_spoiler(ka, kb, u0, v0, cap, rounds, agents, tables, budget):
     The play is the first challenge whose cover is smaller than the chosen
     set; against every response the pick is its first uncovered world.
     """
+    atoms_a, atoms_b = ka._atom_ids(), kb._atom_ids()
     strategy: dict = {}
     stack = [(u0, v0, rounds)]
     while stack:
         u, v, m = position = stack.pop()
         if position in strategy:
             continue
-        if ka.props_of(u) != kb.props_of(v):
+        if atoms_a[u] != atoms_b[v]:
             strategy[position] = None
             continue
         for side, agent, chosen, theirs, _, cover in _covers(
@@ -403,9 +403,12 @@ def verify_strategy(
     strategy; a strategy that is not total on a reached position, or that
     makes an illegal move, is rejected.
     """
+    # Atom ids of structures over different signatures do not compare.
+    a.signature._require_same(b.signature)
     cap, rounds = result.cap, result.rounds
     ka, kb = a.structure, b.structure
     agents = ka.signature.agents
+    atoms_a, atoms_b = ka._atom_ids(), kb._atom_ids()
 
     def duplicator_answers(u, v, m):
         """The positions the stored answers at (u, v, m) lead to, or None if
@@ -470,7 +473,7 @@ def verify_strategy(
     stack = [start]
     while stack:
         u, v, m = stack.pop()
-        equal = ka.props_of(u) == kb.props_of(v)
+        equal = atoms_a[u] == atoms_b[v]
         if not equal or m == 0:
             if spoiler_claims == equal:
                 return False

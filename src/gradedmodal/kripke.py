@@ -5,8 +5,9 @@ deterministically (parts in list order; in unravellings the tree part comes
 before the continuation copy), so outputs are reproducible bit for bit.
 Each agent's relation is stored once, as sorted successor arrays.  Values
 are immutable and every operation is a pure function, so any value may be
-shared across threads.  Derived data (the ``edges`` pair sets and the
-predecessor arrays) is cached on first use; a race at worst builds it twice.
+shared across threads.  Derived data (the ``edges`` pair sets, the
+predecessor arrays, and the atom ids: each world's atomic type as one int)
+is cached on first use; a race at worst builds it twice.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ class Signature:
                     raise SignatureError(f"{kind} names must be nonempty strings, got {name!r}")
             if len(set(names)) != len(names):
                 raise SignatureError(f"duplicate {kind} names in {names!r}")
+
+    def _require_same(self, other: Signature) -> None:
+        """Refuse a second structure whose signature ``other`` is not this one."""
+        if other != self:
+            raise SignatureError("the two structures carry different signatures")
 
 
 class KripkeStructure:
@@ -156,19 +162,15 @@ class KripkeStructure:
             self._pred = pred
         return self._pred
 
-    def props_of(self, world: int) -> tuple[str, ...]:
-        """The propositions true at ``world``, in signature order; the tuples
-        of all worlds are built on first use, one object per distinct tuple."""
+    def _atom_ids(self) -> tuple[int, ...]:
+        """Each world's atomic type as an int (see ``_prop_bits``)."""
         if self._atoms is None:
-            per_world: list[list[str]] = [[] for _ in range(self.world_count)]
-            for prop in self.signature.props:
+            ids = [0] * self.world_count
+            for prop, bit in _prop_bits(self.signature):
                 for w in self.valuation[prop]:
-                    per_world[w].append(prop)
-            distinct: dict[tuple[str, ...], tuple[str, ...]] = {}
-            self._atoms = tuple(distinct.setdefault(t, t) for t in map(tuple, per_world))
-        if not 0 <= world < self.world_count:
-            raise ValueError(f"world {world} out of range")
-        return self._atoms[world]
+                    ids[w] |= bit
+            self._atoms = tuple(ids)
+        return self._atoms
 
     def edge_count(self) -> int:
         return sum(len(vs) for succ in self._succ.values() for vs in succ)
@@ -197,6 +199,13 @@ class KripkeStructure:
             f"agents={list(self.signature.agents)}, props={list(self.signature.props)}, "
             f"edges={self.edge_count()})"
         )
+
+
+def _prop_bits(sig: Signature) -> Iterator[tuple[str, int]]:
+    """Each proposition with its bit in an atom id, in signature order.  The
+    first proposition is the highest bit, so the ids 0 .. 2^k - 1 rank as
+    the tuples of truth values in signature order do."""
+    return zip(sig.props, [1 << i for i in reversed(range(len(sig.props)))])
 
 
 def _successor_arrays(
@@ -475,16 +484,15 @@ def unravel(pointed: PointedStructure, depth: int) -> PointedStructure:
     for node in frontier:
         for agent in sig.agents:
             succ[agent].append(tuple([copy_off + v for v in m._succ[agent][ends[node]]]))
-    valuation: dict[str, list] = {p: [] for p in sig.props}
-    for node, endpoint in enumerate(ends):
-        for p in m.props_of(endpoint):
-            valuation[p].append(node)
+    valuation = {
+        p: [node for node, end in enumerate(ends) if end in holds] for p, holds in m.valuation.items()
+    }
     _append(succ, valuation, m, copy_off)
     return PointedStructure(KripkeStructure._assemble(sig, copy_off + m.world_count, valuation, succ), 0)
 
 
-def _realize(sig: Signature, atoms: tuple, children: list[tuple[str, PointedStructure]]) -> PointedStructure:
-    """A tree with the given root label and child subtrees.
+def _realize(sig: Signature, atoms: int, children: list[tuple[str, PointedStructure]]) -> PointedStructure:
+    """A tree whose root has the atom id ``atoms`` and the given child subtrees.
 
     The root is world 0 and each child subtree follows in list order,
     relabelled by its offset.
@@ -492,8 +500,8 @@ def _realize(sig: Signature, atoms: tuple, children: list[tuple[str, PointedStru
     root: dict[str, list] = {a: [] for a in sig.agents}
     succ: dict[str, list] = {a: [()] for a in sig.agents}
     valuation: dict[str, list] = {p: [] for p in sig.props}
-    for prop, holds in zip(sig.props, atoms):
-        if holds:
+    for prop, bit in _prop_bits(sig):
+        if atoms & bit:
             valuation[prop].append(0)
     offset = 1
     for agent, child in children:

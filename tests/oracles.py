@@ -5,7 +5,11 @@ level by ranking every world's key from ``_level_keys``, the world's
 previous label plus its per-agent (label, count) pairs; ``refine_to`` must
 return exactly its levels, canonical class ids included.  ``atom_keys``
 gives each world its tuple of truth values, the level-0 key that
-``atomic_history`` must rank exactly as.
+``atomic_history`` must rank exactly as; ``atom_number`` reads such a tuple
+as a binary number, first value first, which is the atom id
+``KripkeStructure`` must give the world, and ``atom_masks`` pairs the worlds
+of two structures whose tuples are equal.  ``exact_catalog_size`` is the
+catalog size as an unbounded integer.
 
 ``naive_fo_eval`` quantifies over every world and checks symbols only when
 an atom is reached.  ``whole_table_solve_game`` fills the duplicator's win
@@ -21,7 +25,9 @@ matches off the win table once per response world.
 the conjuncts of the characteristic formula printing each one on its own.
 ``naive_fo_q_equivalent`` plays the back-and-forth game without memo,
 re-checking the whole tuple at every position.  ``full_tree_terms``
-enumerates every canonical tree term within the bounds and sorts them.
+enumerates every canonical tree term within the bounds and sorts them,
+with each node's atoms as a tuple of truth values; ``numbered_term``
+writes such a term with atom numbers in its place.
 ``type_descriptors`` gives every world its type as nested refinement keys,
 which need no arena to be compared.  ``load_named_structure`` is the
 two-pass structure reader: it collects edges as sets and lets
@@ -73,7 +79,6 @@ from gradedmodal.game import (
     GameResult,
     SpoilerMove,
     SpoilerPlay,
-    _atom_masks,
     _Budget,
     _challenges,
     _duplicator_survives,
@@ -101,6 +106,29 @@ from gradedmodal.syntax import (
 def atom_keys(m: KripkeStructure) -> list[tuple[bool, ...]]:
     """Each world's atoms as its tuple of truth values in signature order."""
     return [tuple(w in m.valuation[p] for p in m.signature.props) for w in m.worlds()]
+
+
+def atom_number(atoms: tuple[bool, ...]) -> int:
+    """A tuple of truth values read as a binary number, first value first."""
+    return int("".join("1" if holds else "0" for holds in atoms) or "0", 2)
+
+
+def atom_masks(ka: KripkeStructure, kb: KripkeStructure) -> list[int]:
+    """Per world u of ``ka``, the mask of the worlds of ``kb`` whose tuple of
+    truth values equals u's."""
+    keys_a, keys_b = atom_keys(ka), atom_keys(kb)
+    return [sum(1 << v for v in kb.worlds() if keys_b[v] == keys_a[u]) for u in ka.worlds()]
+
+
+def exact_catalog_size(sig: Signature, cap: int, depth: int) -> int:
+    """The number of types at the bound, exactly: 2^k atomic types at depth
+    0, and at each further depth 2^k times (cap + 1) to the power of the
+    agent count times the previous depth's size."""
+    count = 2 ** len(sig.props)
+    base = 2 ** len(sig.props)
+    for _ in range(depth):
+        count = base * (cap + 1) ** (len(sig.agents) * count)
+    return count
 
 
 def _level_keys(m: KripkeStructure, prev: list, cap: Optional[int]) -> list:
@@ -220,7 +248,7 @@ def whole_table_solve_game(
     agents = ka.signature.agents
     budget = _Budget(game.STEP_BUDGET)
 
-    atom = _atom_masks(ka, kb, ka.worlds(), kb.worlds())
+    atom = atom_masks(ka, kb)
     succ_a_mask = _successor_masks(ka, ka.worlds())
     succ_b_mask = _successor_masks(kb, kb.worlds())
 
@@ -349,6 +377,12 @@ def full_tree_terms(sig: Signature, depth: int, size_bound: int) -> list:
         terms_by_depth.append(unique)
 
     return sorted(terms_by_depth[depth], key=lambda t: (sizes[t], t))
+
+
+def numbered_term(term) -> tuple:
+    """A ``full_tree_terms`` term with every node's atoms as an atom number."""
+    atoms, children = term
+    return (atom_number(atoms), tuple((ai, numbered_term(t)) for ai, t in children))
 
 
 def load_named_structure(text: str) -> tuple[str, Union[KripkeStructure, PointedStructure]]:
@@ -701,13 +735,14 @@ def covering_extract_duplicator(ka, kb, u0, v0, cap, rounds, agents, tables, bud
 def covering_extract_spoiler(ka, kb, u0, v0, cap, rounds, agents, tables, budget):
     """The spoiler's plays at every position reached from the start, walked
     with an explicit stack."""
+    keys_a, keys_b = atom_keys(ka), atom_keys(kb)
     strategy: dict = {}
     stack = [(u0, v0, rounds)]
     while stack:
         u, v, m = position = stack.pop()
         if position in strategy:
             continue
-        if ka.props_of(u) != kb.props_of(v):
+        if keys_a[u] != keys_b[v]:
             strategy[position] = None
             continue
         for move, theirs, _, covered in covered_challenges(

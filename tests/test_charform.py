@@ -31,7 +31,7 @@ from gradedmodal import (
     parse_formula,
     satisfies,
 )
-from gradedmodal.charform import CATALOG_BUDGET, _conjuncts, _size_exceeds, inferred_signature
+from gradedmodal.charform import CATALOG_BUDGET, _conjuncts, inferred_signature
 from gradedmodal.syntax import and_all
 
 from helpers import (
@@ -44,7 +44,12 @@ from helpers import (
     random_structure,
     related_pair,
 )
-from oracles import print_ranked_distinguishing_formula, scan_catalog_formula, type_descriptors
+from oracles import (
+    exact_catalog_size,
+    print_ranked_distinguishing_formula,
+    scan_catalog_formula,
+    type_descriptors,
+)
 
 
 def test_level_zero_is_atomic_description():
@@ -112,7 +117,9 @@ def test_catalog_sizes():
     assert catalog_size(SIG_A, 1, 1) == 2
     assert catalog_size(SIG_A, 2, 1) == 3
     assert catalog_size(Signature((), ("p",)), 3, 0) == 2
-    assert catalog_size(SIG_AP, 2, 2) == 2 * 3 ** 18
+    assert catalog_size(SIG_AP, 2, 2) == CATALOG_BUDGET + 1
+    # The exact size here has more digits than fit in memory.
+    assert catalog_size(Signature(("a",), ("p", "q")), 3, 3) == CATALOG_BUDGET + 1
 
 
 def test_enumerate_types_counts_and_soundness():
@@ -158,7 +165,7 @@ def test_catalog_order_matches_oracle_descriptors():
         for cap in range(3):
             ranked = []  # ranked[d]: the descriptors of the depth-d types, in type order
             for depth in range(3):
-                if _size_exceeds(sig, cap, depth, CATALOG_BUDGET):
+                if catalog_size(sig, cap, depth) > CATALOG_BUDGET:
                     break
                 cat = enumerate_types(sig, cap, depth)
                 built += 1
@@ -235,9 +242,8 @@ def test_catalog_guard_agrees_with_exact_size():
                 for depth in range(4):
                     if depth == 3 and agents and cap and (len(agents), props, cap) != (1, (), 1):
                         continue  # the exact size has more digits than a test should hold
-                    size = catalog_size(sig, cap, depth)
-                    for limit in (0, 1, 3, 4, 16, 5000, size - 1, size, size + 1):
-                        assert _size_exceeds(sig, cap, depth, limit) == (size > limit)
+                    size = exact_catalog_size(sig, cap, depth)
+                    assert catalog_size(sig, cap, depth) == min(size, CATALOG_BUDGET + 1)
 
 
 def test_every_structure_matches_exactly_one_type():

@@ -15,15 +15,20 @@ def _is_private(name: str) -> bool:
 
 
 def _private_definitions(tree: ast.Module):
-    """Private module-level functions and classes, and the methods (other
-    than dunders) of private classes, as (qualified name, node, whether
-    only attribute reads count) triples: a method is read as an attribute."""
+    """Private module-level functions and classes, the methods (other than
+    dunders) of private classes and the private methods of public classes,
+    as (qualified name, node, whether only attribute reads count) triples:
+    a method is read as an attribute."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _is_private(node.name):
             yield node.name, node, False
-        if isinstance(node, ast.ClassDef) and _is_private(node.name):
+        if isinstance(node, ast.ClassDef):
             for member in node.body:
-                if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
+                if (
+                    isinstance(member, ast.FunctionDef)
+                    and not member.name.startswith("__")
+                    and (_is_private(node.name) or _is_private(member.name))
+                ):
                     yield f"{node.name}.{member.name}", member, True
 
 

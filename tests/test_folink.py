@@ -61,7 +61,7 @@ from helpers import (
     related_pair,
     spaced,
 )
-from oracles import full_tree_terms, naive_fo_eval, naive_fo_q_equivalent
+from oracles import full_tree_terms, naive_fo_eval, naive_fo_q_equivalent, numbered_term
 from oracles import parse_fo_formula as tuple_parse_fo_formula
 
 
@@ -369,7 +369,7 @@ def test_cap_table_matches_find_cap():
 def test_sampled_trees_are_enumerated_trees():
     # The sampler orders children as the enumerator does, so a sampled tree
     # equal to an enumerated one is the same term.
-    exhaustive = set(full_tree_terms(SIG_AP, 2, 7))
+    exhaustive = set(map(numbered_term, full_tree_terms(SIG_AP, 2, 7)))
     rng = random.Random(0)
     for _ in range(200):
         assert _random_tree_term(rng, SIG_AP, 2, 7) in exhaustive
@@ -379,7 +379,7 @@ def test_smallest_tree_terms_match_the_full_enumeration():
     for sig in (SIG_A, SIG_AP, Signature(("a", "b"), ())):
         for depth in (0, 1, 2):
             for size in (1, 3, 5):
-                full = full_tree_terms(sig, depth, size)
+                full = list(map(numbered_term, full_tree_terms(sig, depth, size)))
                 for budget in (1, 4, 30, len(full) - 1, len(full), len(full) + 1):
                     terms, exhausted = _smallest_tree_terms(sig, depth, size, budget)
                     assert terms == full[:budget]

@@ -180,6 +180,18 @@ def test_forged_claims_at_terminal_positions_rejected():
     assert not verify_strategy(GameResult(DUPLICATOR, 1, 0, GamePosition(0, 1, 0), {}), a, b)
 
 
+def test_verify_strategy_refuses_structures_over_different_signatures():
+    from gradedmodal.game import GamePosition
+
+    # The point of each side satisfies its one proposition, so both points
+    # have atom id 1, though one satisfies p and the other q.
+    a = PointedStructure(KripkeStructure(Signature(("a",), ("p",)), 1, {}, {"p": [0]}), 0)
+    b = PointedStructure(KripkeStructure(Signature(("a",), ("q",)), 1, {}, {"q": [0]}), 0)
+    claim = GameResult(DUPLICATOR, 1, 0, GamePosition(0, 0, 0), {(0, 0, 0): {}})
+    with pytest.raises(SignatureError, match="different signatures"):
+        verify_strategy(claim, a, b)
+
+
 def test_monotonicity_of_spoiler_wins():
     rng = random.Random(109)
     for _ in range(40):

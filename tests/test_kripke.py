@@ -29,10 +29,13 @@ from gradedmodal import (
     standard_translation,
     unravel,
 )
+from gradedmodal.charform import _atomic_description
 from gradedmodal.folink import EdgeAtom, Exists, FOAnd, PropAtom
+from gradedmodal.game import _atom_masks
 from gradedmodal.kripke import _realize, load_named_structure, part_offsets
 
 from helpers import SIG_A, SIG_AP, chain, fan, loop1, random_signature, random_structure
+from oracles import atom_keys, atom_masks, atom_number
 from oracles import dump_structure as pair_sorted_dump
 from oracles import load_named_structure as two_pass_load
 from oracles import pair_list_load_named_structure as pair_list_load
@@ -644,17 +647,22 @@ def test_neighborhood_and_restrict_match_edge_walks():
                 )
 
 
-def test_props_of_reads_the_valuation_in_signature_order():
-    rng = random.Random(37)
-    for _ in range(40):
-        m = random_structure(rng, random_signature(rng), 6).structure
-        for w in m.worlds():
-            expected = tuple(p for p in m.signature.props if w in m.valuation[p])
-            assert m.props_of(w) == expected
-            assert m.props_of(w) is m.props_of(w)
-        for w in (-1, m.world_count):
-            with pytest.raises(ValueError, match="out of range"):
-                m.props_of(w)
+@pytest.mark.parametrize("props", range(6))
+def test_atom_ids_read_the_truth_values_as_binary_numbers(props):
+    """The one atom convention, everywhere it is written or read: the
+    structure's atom ids, the trees ``_realize`` builds, the descriptions
+    of ``_atomic_description`` and the game's atom masks."""
+    rng = random.Random(37 + props)
+    sig = Signature(("a",), tuple(f"p{i}" for i in range(props)))
+    for _ in range(10):
+        m, other = (random_structure(rng, sig, 8).structure for _ in range(2))
+        assert m._atom_ids() == tuple(map(atom_number, atom_keys(m)))
+        assert _atom_masks(m, other, m.worlds(), other.worlds()) == atom_masks(m, other)
+    singles = [_realize(sig, atoms, []) for atoms in range(1 << props)]
+    for atoms, single in enumerate(singles):
+        assert single.structure._atom_ids() == (atoms,)
+        description = _atomic_description(sig, atoms)
+        assert [satisfies(s, description) for s in singles] == [s is single for s in singles]
 
 
 def _dump_refusal(agent: str, prop: str) -> str:
@@ -737,7 +745,7 @@ def test_restrict_unravel_and_realize_equal_validated_construction():
             for _ in range(rng.randint(0, 3))
         ]
         atoms = tuple(rng.random() < 0.5 for _ in sig.props)
-        got, want = _realize(sig, atoms, children), _realize_by_pairs(sig, atoms, children)
+        got, want = _realize(sig, atom_number(atoms), children), _realize_by_pairs(sig, atoms, children)
         _assert_built_as_validated(got.structure, want.structure)
 
 
