@@ -73,6 +73,13 @@ def _grade_conjuncts(agent: str, capped: int, cap: int, child: Formula) -> list[
     return conjuncts
 
 
+def _check_bounds(cap: int, depth: int) -> None:
+    """Refuse a cap or depth that is not a nonnegative int, before any work."""
+    for name, value in (("cap", cap), ("depth", depth)):
+        if not isinstance(value, int) or value < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 def characteristic_formula(
     target: PointedStructure,
     cap: int,
@@ -87,8 +94,7 @@ def characteristic_formula(
     canonical representative per class.  See the module docstring for the
     three completion modes.
     """
-    if cap < 0 or depth < 0:
-        raise ValueError("cap and depth must be nonnegative")
+    _check_bounds(cap, depth)
     m = target.structure
     sig = m.signature
     if catalog is not None:
@@ -196,7 +202,8 @@ def catalog_size(sig: Signature, cap: int, depth: int) -> int:
     """
     base = 2 ** len(sig.props)
     count = base
-    for _ in range(depth):
+    # Without grades or agents, every level holds the atomic types.
+    for _ in range(depth if cap and sig.agents else 0):
         exponent = len(sig.agents) * count
         # (cap + 1) ** exponent is at least 2 ** (exponent * (bits - 1)).  A
         # level past the budget has either an exponent past it, or the next
@@ -320,6 +327,7 @@ def distinguishing_formula(
     conjuncts are preferred, deeper conjuncts first, ties broken by the
     printed form, and the first conjunct that ``b`` falsifies wins.
     """
+    _check_bounds(cap, depth)
     if bounded_equivalence(a, b, cap, depth):
         return None
     conjuncts = _conjuncts(characteristic_formula(a, cap, depth))

@@ -238,60 +238,82 @@ def _tokens(pattern: "re.Pattern[str]", starts: str, text: str) -> list[str]:
     return tokens
 
 
-def parse_formula(text: str) -> Formula:
-    """Parse the grammar above, building each distinct subformula once: a
-    node is looked up by its constructor and children before it is built."""
-    tokens = _tokens(_TOKEN, _STARTS, text)
-    end = len(tokens)
-    pos = 0
-    memo: dict = {"true": TOP, "false": BOT}
+# The token scanner: white space, then one token, its text in group 1.  It
+# fails at the end of the text and at a bad character.
+_token_at = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|[0-9]+|[()&|!<>:\[\]])").match
+_opening_at = re.compile(r"\(*").match
+_KEY = 24
 
-    def fail(message: str, index: int):
-        raise _parse_error(_TOKEN, text, message, index)
+
+def parse_formula(text: str) -> Formula:
+    """Parse the grammar above, building each distinct subformula once.
+
+    The text of each distinct compound subformula is scanned once; a later
+    copy of its characters costs one comparison of them.  A copy spaced
+    differently is parsed again, and so is a compound whose text ends in a
+    name.  The parser recurses once per nesting level.
+    """
+    scan = _token_at
+    names = {"true": TOP, "false": BOT}
+    spans: dict = {}
+    pos = opened = 0
+
+    def fail(message: str, at: int):
+        """Report a bad character, else the token at or after position ``at``."""
+        _tokens(_TOKEN, _STARTS, text)
+        raise ParseError(message, column=len(text) - len(text[at:].lstrip()) + 1)
 
     def take(starts: str, what: str = "") -> str:
         """The next token; it must start with one of ``starts``."""
         nonlocal pos
-        if pos == end:
-            fail("unexpected end of input", pos)
-        token = tokens[pos]
-        pos += 1
+        match = scan(text, pos) or fail("unexpected end of input", len(text))
+        token, pos = match[1], match.end()
         if token[0] not in starts:
             fail(f"expected {what or repr(starts)}, got {token!r}", pos)
         return token
 
     def formula() -> Formula:
-        nonlocal pos
-        if pos == end:
-            fail("unexpected end of input", pos)
-        token = tokens[pos]
-        pos += 1
+        nonlocal pos, opened
+        match = scan(text, pos) or fail("unexpected end of input", len(text))
+        token, pos = match[1], match.end()
         if token == "!":
-            key = (Not, formula())
-        elif token == "(":
+            return Not(formula())
+        if token[0] in ascii_letters:
+            return names.get(token) or names.setdefault(token, Prop(token))
+        if token != "(" and token != "<" and token != "[":
+            fail(f"unexpected token {token!r}", pos - len(token))
+        # A compound's span is remembered under its run of "(" and the _KEY
+        # characters after it; ``opened`` ends the run this token is in.
+        start = pos - 1
+        if token != "(" or text[pos:pos + 1] != "(":
+            opened = pos - (token != "(")
+        elif pos > opened:
+            opened = _opening_at(text, pos).end()
+        key = (opened - start, text[opened:opened + _KEY])
+        origin, stop, node = spans.get(key, (0, 0, None))
+        if node is not None and text.startswith(text[origin:stop], start):
+            pos = start + stop - origin
+            return node
+        if token == "(":
             left = formula()
-            op = take("&|", "'&' or '|'")
-            key = (And if op == "&" else Or, left, formula())
+            kind = And if take("&|", "'&' or '|'") == "&" else Or
+            node = kind(left, formula())
             take(")")
-        elif token == "<" or token == "[":
+        else:
             agent = take(ascii_letters, "a name")
             take(":")
             grade = int(take(digits, "a grade"))
             if grade < 1:
                 fail("grades start at 1", pos)
             take(">" if token == "<" else "]")
-            key = (Diamond if token == "<" else box, agent, grade, formula())
-        elif token[0] in ascii_letters:
-            key = token
-        else:
-            fail(f"unexpected token {token!r}", pos - 1)
-        node = memo.get(key)
-        if node is None:
-            node = memo[key] = Prop(key) if type(key) is str else key[0](*key[1:])
+            node = (Diamond if token == "<" else box)(agent, grade, formula())
+        # A copy of a span that ends in a name could go on with that name.
+        if text[pos - 1] == ")":
+            spans[key] = start, pos, node
         return node
 
     result = formula()
-    if pos < end:
+    if text[pos:].strip():
         fail("trailing input after formula", pos)
     return result
 

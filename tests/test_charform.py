@@ -1,10 +1,12 @@
 import functools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedmodal import charform, equivalence
 from gradedmodal import (
     And,
     Bot,
@@ -120,6 +122,40 @@ def test_catalog_sizes():
     assert catalog_size(SIG_AP, 2, 2) == CATALOG_BUDGET + 1
     # The exact size here has more digits than fit in memory.
     assert catalog_size(Signature(("a",), ("p", "q")), 3, 3) == CATALOG_BUDGET + 1
+
+
+@pytest.mark.parametrize("sig, cap", [
+    (Signature(("a",), ("p",)), 0),
+    (Signature(("a", "b"), ("p", "q")), 0),
+    (Signature((), ("p",)), 3),
+    (Signature((), ()), 2),
+])
+def test_catalog_size_without_grades_or_agents(sig, cap):
+    # Every level past 0 holds the same 2^k atomic types, so no depth costs
+    # a loop over the levels.
+    for depth in range(7):
+        assert catalog_size(sig, cap, depth) == exact_catalog_size(sig, cap, depth)
+    assert catalog_size(sig, cap, 10**9) == 2 ** len(sig.props)
+
+
+@pytest.mark.parametrize("cap, depth, name", [
+    (None, 2, "cap"), (1.5, 2, "cap"), ("2", 2, "cap"), (-1, 2, "cap"),
+    (2, None, "depth"), (2, 1.0, "depth"), (2, -1, "depth"),
+])
+def test_chi_and_separator_refuse_bad_bounds_before_any_work(monkeypatch, cap, depth, name):
+    def no_work(*args, **kwargs):
+        raise AssertionError("bounds are checked before any refinement")
+
+    for module in (charform, equivalence):
+        monkeypatch.setattr(module, "refine_to", no_work)
+    monkeypatch.setattr(charform, "bounded_equivalence", no_work)
+    a = fan(2)
+    message = f"^{name} must be a nonnegative integer, got {re.escape(repr(depth if name == 'depth' else cap))}$"
+    with pytest.raises(ValueError, match=message):
+        characteristic_formula(a, cap, depth)
+    for other in (fan(2), fan(1)):  # equivalent and inequivalent points
+        with pytest.raises(ValueError, match=message):
+            distinguishing_formula(a, other, cap, depth)
 
 
 def test_enumerate_types_counts_and_soundness():

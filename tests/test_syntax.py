@@ -13,11 +13,15 @@ from gradedmodal import (
     Bot,
     Diamond,
     FragmentBound,
+    KripkeStructure,
     Not,
     Or,
     ParseError,
+    PointedStructure,
     Prop,
+    Signature,
     Top,
+    characteristic_formula,
     counting_rank,
     format_formula,
     format_formulas,
@@ -25,6 +29,7 @@ from gradedmodal import (
     nesting_depth,
     parse_formula,
 )
+from gradedmodal import syntax
 from gradedmodal.syntax import and_all, box, or_all
 
 import oracles
@@ -311,9 +316,26 @@ def formula_texts(grades=_GRADES):
     return formula_tokens(grades).flatmap(spaced)
 
 
+# A subformula long enough for the parser to remember its span, a copy of
+# it that differs only after the lookup prefix, and one ending in a name.
+_LONG = "<a:1> (<b:2> (p & !q) | [a:3] r)"
+_LONG_OTHER = "<a:1> (<b:2> (p & !q) | [a:3] s)"
+_NAMED = "<a:1> <b:2> <a:3> <b:1> p"
+_CHAIN = format_formula(and_all([Prop(f"p{i}") for i in range(30)]))
+
+
 @given(formula_texts())
 @example("(<a:1> p & <a:2> p)")
 @example("((<a:1> p | [a:1] p) & (<b:1> p | <a:1> q))")
+@example(f"({_LONG} & {_LONG})")
+@example(f"({_LONG} & <a:1>  ( <b:2> (p&!q) | [a:3] r))")  # spaced differently
+@example("(<a:1> p & <a:1> pq)")
+@example(f"({_NAMED} & {_NAMED}q)")  # followed by a name character
+@example(f"({_NAMED} & {_NAMED}_1)")
+@example(f"({_NAMED} & {_NAMED})")
+@example(f"({_LONG} & {_LONG_OTHER})")  # differs after the prefix
+@example(f"({_CHAIN} | ({_CHAIN} & {_CHAIN[:-5]}q29)))")
+@example(f"[a:2] ({_LONG} & !({_LONG} | {_LONG}))")
 @settings(max_examples=300, deadline=None)
 def test_parser_returns_the_oracles_node(text):
     assert parse_formula(text) is oracles.parse_formula(text)
@@ -339,6 +361,14 @@ _INSERTS = ["_", "\u00e9", "\u0663", "#", "0", "00", "(", ")", "!", "&", "<", ":
 @example("(p & #)")
 @example("<a:00> p")
 @example("(p_ | _q)")
+@example(f"({_LONG} & {_LONG[:-1]}")  # cut off by the end of the text
+@example(f"({_LONG} & {_LONG[:-6]}")
+@example(f"({_LONG} & {_LONG}")
+@example(f"({_LONG} & {_LONG.replace('3', '0')})")  # the copy holds an error
+@example(f"({_LONG} & {_LONG.replace('!', '#')})")
+@example(f"({_LONG} & {_LONG.replace('r', '&')})")
+@example(f"({_NAMED} & {_NAMED} q)")
+@example(f"({_CHAIN} & {_CHAIN[:-1]}")
 @settings(max_examples=300, deadline=None)
 def test_parser_errors_match_the_oracle_on_corrupted_text(text):
     assert parse_outcome(parse_formula, text) == _oracle_outcome(text)
@@ -348,3 +378,53 @@ def test_parser_errors_match_the_oracle_on_corrupted_text(text):
 def test_parse_800_levels_deep(prefix, suffix):
     text = prefix * 800 + "p" + suffix * 800
     assert parse_formula(text) is oracles.parse_formula(text)
+
+
+@st.composite
+def repeated_texts(draw):
+    """Text in which printed subformulas repeat, each copy either as printed
+    or spaced at random."""
+    pool = [format_formula(draw(formulas(depth=4))) for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(3, 8))):
+        x, y = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            y = x if draw(st.booleans()) else draw(spaced(re.findall(r"\w+|\S", x)))
+        shape = draw(st.sampled_from(["({} & {})", "({} | {})", "(!{} & {})", "<a:2> {}", "[b:1] {}"]))
+        pool.append(shape.format(x, y))
+    return pool[-1]
+
+
+@given(repeated_texts())
+@settings(max_examples=100, deadline=None)
+def test_repeated_subformulas_parse_as_the_oracle_does(text):
+    assert parse_formula(text) is oracles.parse_formula(text)
+
+
+@given(repeated_texts().flatmap(lambda text: corrupted(text, _INSERTS)))
+@settings(max_examples=100, deadline=None)
+def test_corrupted_repeats_fail_as_the_oracle_does(text):
+    assert parse_outcome(parse_formula, text) == _oracle_outcome(text)
+
+
+def _chi():
+    sig = Signature(("a", "b"), ("p",))
+    edges = {"a": {(w, (w + 1) % 5) for w in range(5)} | {(0, 2)}, "b": {(w, (w * 2) % 5) for w in range(5)}}
+    return characteristic_formula(PointedStructure(KripkeStructure(sig, 5, edges, {"p": {0, 3}}), 0), 2, 3)
+
+
+@pytest.mark.parametrize("subformula", [_chi, lambda: and_all([Prop(f"p{i}") for i in range(400)])],
+                         ids=["chi", "chain"])
+def test_each_repeat_costs_a_few_token_reads(monkeypatch, subformula):
+    s = subformula()
+    size = len(syntax._TOKEN.findall(format_formula(s)))
+    assert size >= 1000
+    scan, reads = syntax._token_at, []
+
+    def counting(text, pos):
+        reads.append(pos)
+        return scan(text, pos)
+
+    monkeypatch.setattr(syntax, "_token_at", counting)
+    f = and_all([s] * 100)
+    assert parse_formula(format_formula(f)) is f
+    assert len(reads) <= size + 20 * 100
