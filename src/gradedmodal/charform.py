@@ -23,6 +23,7 @@ are exposed:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
@@ -153,6 +154,22 @@ class TypeEntry:
 
 
 @dataclass(frozen=True)
+class _Repeated(Sequence):
+    """``length`` references to one item, which is stored once."""
+
+    item: tuple
+    length: int
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, index: int):
+        if not -self.length <= index < self.length:
+            raise IndexError("index out of range")
+        return self.item
+
+
+@dataclass(frozen=True)
 class TypeCatalog:
     """All equivalence types at a bound, with defining formulas and models.
 
@@ -161,14 +178,15 @@ class TypeCatalog:
     ``level_formulas[d]`` lists the type formulas at every depth d up to the
     bound, in type order; each level's formulas also partition the pointed
     structures, and back the catalog completion mode of
-    ``characteristic_formula``.
+    ``characteristic_formula``.  Without grades or agents it is one level,
+    stored once and repeated.
     """
 
     signature: Signature
     cap: int
     depth: int
     entries: tuple[TypeEntry, ...]
-    level_formulas: tuple[tuple[Formula, ...], ...]
+    level_formulas: Sequence[tuple[Formula, ...]]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -240,16 +258,20 @@ def enumerate_types(
     models = [_realize(sig, atoms, []) for atoms in atom_options]
     formulas = [_atomic_description(sig, atoms) for atoms in atom_options]
     level_formulas = [tuple(formulas)]
-    for level in range(1, depth + 1):
+    graded = bool(cap and sig.agents)
+    for level in range(1, depth + 1 if graded else 1):
         count_choices = list(product(range(cap + 1), repeat=len(models)))
+        # options[agent][type][n]: the children and grade conjuncts of n such successors.
+        options = [[[([(agent, model)] * n, _grade_conjuncts(agent, n, cap, formula)) for n in range(cap + 1)]
+                    for model, formula in zip(models, formulas)] for agent in sig.agents]
         built, grades = [], []
         for atoms in atom_options:
             for combo in product(count_choices, repeat=len(sig.agents)):
                 children, conjuncts = [], []
-                for agent, counts in zip(sig.agents, combo):
-                    for model, formula, n in zip(models, formulas, counts):
-                        children += [(agent, model)] * n
-                        conjuncts += _grade_conjuncts(agent, n, cap, formula)
+                for per_type, counts in zip(options, combo):
+                    for choices, n in zip(per_type, counts):
+                        children += choices[n][0]
+                        conjuncts += choices[n][1]
                 built.append(_realize(sig, atoms, children))
                 grades.append(conjuncts)
         pointed = models + built
@@ -267,7 +289,9 @@ def enumerate_types(
         level_formulas.append(tuple(formulas))
 
     entries = tuple(TypeEntry(i, f, model) for i, (f, model) in enumerate(zip(formulas, models)))
-    return TypeCatalog(sig, cap, depth, entries, tuple(level_formulas))
+    # Without grades or agents, every level repeats level 0.
+    levels = tuple(level_formulas) if graded else _Repeated(level_formulas[0], depth + 1)
+    return TypeCatalog(sig, cap, depth, entries, levels)
 
 
 def normal_form(

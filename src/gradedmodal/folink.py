@@ -19,7 +19,6 @@ carries an edge atom to its variable ranges over successors only.
 from __future__ import annotations
 
 import bisect
-import itertools
 import random as _random_module
 import re
 from dataclasses import dataclass
@@ -67,89 +66,91 @@ class FOFormula:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropAtom(FOFormula):
     prop: str
     var: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeAtom(FOFormula):
     agent: str
     src: str
     dst: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eq(FOFormula):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FONot(FOFormula):
     child: FOFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FOAnd(FOFormula):
     left: FOFormula
     right: FOFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FOOr(FOFormula):
     left: FOFormula
     right: FOFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists(FOFormula):
     var: str
     child: FOFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall(FOFormula):
     var: str
     child: FOFormula
 
 
-def fo_and_all(parts: list[FOFormula]) -> FOFormula:
-    if not parts:
-        raise ValueError("empty conjunction")
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = FOAnd(acc, p)
-    return acc
+def _atoms(formula: FOFormula, top, under):
+    """Each atom of the formula, left to right, with its variables and the
+    value that ``under(value, variable)`` folds from ``top`` over the
+    quantifiers above it.  One explicit stack walks the formula, so no
+    depth reaches the recursion limit."""
+    stack = [(formula, top)]
+    while stack:
+        f, value = stack.pop()
+        kind = type(f)
+        if kind is FOAnd or kind is FOOr:
+            stack += ((f.right, value), (f.left, value))
+        elif kind is FONot:
+            stack.append((f.child, value))
+        elif kind is Exists or kind is Forall:
+            stack.append((f.child, under(value, f.var)))
+        elif kind is PropAtom:
+            yield f, (f.var,), value
+        elif kind is EdgeAtom:
+            yield f, (f.src, f.dst), value
+        elif kind is Eq:
+            yield f, (f.left, f.right), value
+        else:
+            raise TypeError(f"not an FO formula: {f!r}")
+
+
+def _bind(bound: frozenset[str], var: str) -> frozenset[str]:
+    return bound | {var}
 
 
 def free_vars(formula: FOFormula) -> frozenset[str]:
-    if isinstance(formula, PropAtom):
-        return frozenset((formula.var,))
-    if isinstance(formula, EdgeAtom):
-        return frozenset((formula.src, formula.dst))
-    if isinstance(formula, Eq):
-        return frozenset((formula.left, formula.right))
-    if isinstance(formula, FONot):
-        return free_vars(formula.child)
-    if isinstance(formula, (FOAnd, FOOr)):
-        return free_vars(formula.left) | free_vars(formula.right)
-    if isinstance(formula, (Exists, Forall)):
-        return free_vars(formula.child) - {formula.var}
-    raise TypeError(f"not an FO formula: {formula!r}")
+    return frozenset(
+        var for _, names, bound in _atoms(formula, frozenset(), _bind) for var in names if var not in bound
+    )
 
 
 def quantifier_rank(formula: FOFormula) -> int:
-    if isinstance(formula, (PropAtom, EdgeAtom, Eq)):
-        return 0
-    if isinstance(formula, FONot):
-        return quantifier_rank(formula.child)
-    if isinstance(formula, (FOAnd, FOOr)):
-        return max(quantifier_rank(formula.left), quantifier_rank(formula.right))
-    if isinstance(formula, (Exists, Forall)):
-        return quantifier_rank(formula.child) + 1
-    raise TypeError(f"not an FO formula: {formula!r}")
+    return max(depth for _, _, depth in _atoms(formula, 0, lambda depth, _: depth + 1))
 
 
 def standard_translation(formula: Formula, var: str = "x") -> FOFormula:
@@ -159,37 +160,45 @@ def standard_translation(formula: Formula, var: str = "x") -> FOFormula:
     distinctness, the k edges, and the translated body at each new
     variable; fresh variables are y1, y2, ... in evaluation order, skipping
     ``var`` so that the free variable is never captured.  ``var`` must be
-    an FO identifier, so that the printed translation parses again.
+    an FO identifier, so that the printed translation parses again.  The
+    translation recurses once per modal nesting level.
     """
     if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", var):
         raise ValueError(f"variable {var!r} is not an identifier [A-Za-z][A-Za-z0-9_]*")
-    fresh = (y for y in (f"y{i}" for i in itertools.count(1)) if y != var)
+    used = 0  # the index of the last fresh name handed out or skipped
 
     def st(f: Formula, x: str) -> FOFormula:
-        if isinstance(f, Top):
-            return Eq(x, x)
-        if isinstance(f, Bot):
-            return FONot(Eq(x, x))
-        if isinstance(f, Prop):
-            return PropAtom(f.name, x)
-        if isinstance(f, Not):
-            return FONot(st(f.child, x))
-        if isinstance(f, And):
+        nonlocal used
+        kind = type(f)
+        if kind is And:
             return FOAnd(st(f.left, x), st(f.right, x))
-        if isinstance(f, Or):
-            return FOOr(st(f.left, x), st(f.right, x))
-        if isinstance(f, Diamond):
-            ys = [next(fresh) for _ in range(f.grade)]
-            parts: list[FOFormula] = []
-            for i in range(len(ys)):
-                for j in range(i + 1, len(ys)):
-                    parts.append(FONot(Eq(ys[i], ys[j])))
-            parts.extend(EdgeAtom(f.agent, x, y) for y in ys)
-            parts.extend(st(f.child, y) for y in ys)
-            body = fo_and_all(parts)
+        if kind is Not:
+            return FONot(st(f.child, x))
+        if kind is Diamond:
+            ys = []
+            while len(ys) < f.grade:
+                used += 1
+                if f"y{used}" != var:
+                    ys.append(f"y{used}")
+            # One left-nested conjunction: distinct names, edges, the child at each name.
+            parts = [FONot(Eq(y, z)) for i, y in enumerate(ys) for z in ys[i + 1:]]
+            parts += [EdgeAtom(f.agent, x, y) for y in ys]
+            body = parts[0]
+            for part in parts[1:]:
+                body = FOAnd(body, part)
+            for y in ys:
+                body = FOAnd(body, st(f.child, y))
             for y in reversed(ys):
                 body = Exists(y, body)
             return body
+        if kind is Prop:
+            return PropAtom(f.name, x)
+        if kind is Or:
+            return FOOr(st(f.left, x), st(f.right, x))
+        if kind is Top:
+            return Eq(x, x)
+        if kind is Bot:
+            return FONot(Eq(x, x))
         raise TypeError(f"not a formula: {f!r}")
 
     return st(formula, var)
@@ -199,32 +208,12 @@ def _check_fo_input(m: KripkeStructure, assigned, formula: FOFormula) -> None:
     """Raise for the first unknown symbol, unassigned free variable or non-FO
     node, left to right, before anything is evaluated."""
     props, agents = m.signature.props, m.signature.agents
-    stack = [(formula, frozenset())]
-    while stack:
-        f, bound = stack.pop()
-        if isinstance(f, (FOAnd, FOOr)):
-            stack.append((f.right, bound))
-            stack.append((f.left, bound))
-            continue
-        if isinstance(f, FONot):
-            stack.append((f.child, bound))
-            continue
-        if isinstance(f, (Exists, Forall)):
-            stack.append((f.child, bound | {f.var}))
-            continue
-        if isinstance(f, PropAtom):
-            if f.prop not in props:
-                raise SignatureError(f"unknown proposition {f.prop!r}")
-            used = (f.var,)
-        elif isinstance(f, Eq):
-            used = (f.left, f.right)
-        elif isinstance(f, EdgeAtom):
-            if f.agent not in agents:
-                raise SignatureError(f"unknown agent {f.agent!r}")
-            used = (f.src, f.dst)
-        else:
-            raise TypeError(f"not an FO formula: {f!r}")
-        for var in used:
+    for f, names, bound in _atoms(formula, frozenset(), _bind):
+        if type(f) is PropAtom and f.prop not in props:
+            raise SignatureError(f"unknown proposition {f.prop!r}")
+        if type(f) is EdgeAtom and f.agent not in agents:
+            raise SignatureError(f"unknown agent {f.agent!r}")
+        for var in names:
             if var not in bound and var not in assigned:
                 raise EvaluationError(f"unassigned free variable {var!r}")
 
@@ -934,24 +923,42 @@ def find_cap(q: int, radius: int, sig: Signature, size_bound: int) -> CapSearchR
 # ---------------------------------------------------------------------------
 
 
+class _Text(str):
+    """Text that ``format_fo_formula`` stacks to print after a child; its own
+    type, so that no child, a ``str`` included, is printed as text."""
+
+
+_AND, _OR, _CLOSE = _Text(" & "), _Text(" | "), _Text(")")
+
+
 def format_fo_formula(formula: FOFormula) -> str:
-    if isinstance(formula, PropAtom):
-        return f"{formula.prop}({formula.var})"
-    if isinstance(formula, EdgeAtom):
-        return f"E{formula.agent}({formula.src},{formula.dst})"
-    if isinstance(formula, Eq):
-        return f"{formula.left} = {formula.right}"
-    if isinstance(formula, FONot):
-        return "!" + format_fo_formula(formula.child)
-    if isinstance(formula, FOAnd):
-        return f"({format_fo_formula(formula.left)} & {format_fo_formula(formula.right)})"
-    if isinstance(formula, FOOr):
-        return f"({format_fo_formula(formula.left)} | {format_fo_formula(formula.right)})"
-    if isinstance(formula, Exists):
-        return f"E {formula.var} {format_fo_formula(formula.child)}"
-    if isinstance(formula, Forall):
-        return f"A {formula.var} {format_fo_formula(formula.child)}"
-    raise TypeError(f"not an FO formula: {formula!r}")
+    """The printed formula, which ``parse_fo_formula`` reads back; one
+    explicit stack of nodes and the text due after them."""
+    pieces: list[str] = []
+    stack: list = [formula]
+    while stack:
+        f = stack.pop()
+        kind = type(f)
+        if kind is _Text:
+            pieces.append(f)
+        elif kind is FOAnd or kind is FOOr:
+            pieces.append("(")
+            stack += (_CLOSE, f.right, _AND if kind is FOAnd else _OR, f.left)
+        elif kind is PropAtom:
+            pieces.append(f"{f.prop}({f.var})")
+        elif kind is EdgeAtom:
+            pieces.append(f"E{f.agent}({f.src},{f.dst})")
+        elif kind is FONot:
+            pieces.append("!")
+            stack.append(f.child)
+        elif kind is Eq:
+            pieces.append(f"{f.left} = {f.right}")
+        elif kind is Exists or kind is Forall:
+            pieces.append(f"{'E' if kind is Exists else 'A'} {f.var} ")
+            stack.append(f.child)
+        else:
+            raise TypeError(f"not an FO formula: {f!r}")
+    return "".join(pieces)
 
 
 _FO_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[()&|!,=]|\S")

@@ -46,6 +46,12 @@ level formula, each with its own memo.  ``parse_formula`` and
 ``parse_fo_formula`` are the parsers over ``_tokenize``, which builds one
 (kind, value, start) tuple per token from named groups; ``parse_formula``
 builds every node through its constructor.
+``level_loop_enumerate_types`` builds and refines every catalog level, even
+when a level only repeats level 0, and builds each combination's children
+and grade conjuncts afresh.  ``standard_translation``, ``format_fo_formula``,
+``quantifier_rank`` and ``free_vars`` are the FO walkers that recurse once
+per node and dispatch by ``isinstance``; the translation draws fresh names
+from chained generators.
 """
 
 from __future__ import annotations
@@ -57,9 +63,16 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
 from gradedmodal import game
-from gradedmodal.charform import _conjuncts, characteristic_formula
-from gradedmodal.equivalence import ColorHistory, _ranks, bounded_equivalence
-from gradedmodal.errors import EvaluationError, ParseError, SignatureError
+from gradedmodal.charform import (
+    TypeCatalog,
+    TypeEntry,
+    _atomic_description,
+    _conjuncts,
+    _grade_conjuncts,
+    characteristic_formula,
+)
+from gradedmodal.equivalence import ColorHistory, _ranks, bounded_equivalence, refine_to
+from gradedmodal.errors import EvaluationError, GradedModalError, ParseError, SignatureError
 from gradedmodal.folink import (
     EdgeAtom,
     Eq,
@@ -86,17 +99,29 @@ from gradedmodal.game import (
     _spoiler_sets,
     _successor_masks,
 )
-from gradedmodal.kripke import KripkeStructure, PointedStructure, Signature, _int, _successor_arrays
+from gradedmodal.kripke import (
+    KripkeStructure,
+    PointedStructure,
+    Signature,
+    _int,
+    _realize,
+    _successor_arrays,
+    disjoint_union,
+    part_offsets,
+)
 from gradedmodal.semantics import satisfies
 from gradedmodal.syntax import (
     BOT,
     TOP,
     And,
+    Bot,
     Diamond,
     Formula,
     Not,
     Or,
     Prop,
+    Top,
+    and_all,
     box,
     format_formula,
     nesting_depth,
@@ -1042,3 +1067,125 @@ def parse_fo_formula(text: str) -> FOFormula:
 
 def scan_catalog_formula(target: PointedStructure, catalog, depth: int) -> Formula:
     return next(f for f in catalog.level_formulas[depth] if satisfies(target, f))
+
+
+def level_loop_enumerate_types(sig: Signature, cap: int, depth: int) -> TypeCatalog:
+    """``enumerate_types`` without its budget: every level is built and
+    refined, and each combination of counts builds its own children and
+    grade conjuncts."""
+    atom_options = range(1 << len(sig.props))
+    models = [_realize(sig, atoms, []) for atoms in atom_options]
+    formulas = [_atomic_description(sig, atoms) for atoms in atom_options]
+    level_formulas = [tuple(formulas)]
+    for level in range(1, depth + 1):
+        count_choices = list(itertools.product(range(cap + 1), repeat=len(models)))
+        built, grades = [], []
+        for atoms in atom_options:
+            for combo in itertools.product(count_choices, repeat=len(sig.agents)):
+                children, conjuncts = [], []
+                for agent, counts in zip(sig.agents, combo):
+                    for model, formula, n in zip(models, formulas, counts):
+                        children += [(agent, model)] * n
+                        conjuncts += _grade_conjuncts(agent, n, cap, formula)
+                built.append(_realize(sig, atoms, children))
+                grades.append(conjuncts)
+        pointed = models + built
+        parts = [p.structure for p in pointed]
+        offsets = part_offsets(parts)
+        history = refine_to(disjoint_union(parts), cap, offsets, level)
+        below, here = history.levels[level - 1], history.levels[level]
+        roots = [offset + p.point for offset, p in zip(offsets, pointed)]
+        previous = {below[root]: i for i, root in enumerate(roots[: len(models)])}
+        new = sorted((here[root], below[root], i) for i, root in enumerate(roots[len(models) :]))
+        if len({cls for cls, _, _ in new}) != len(new):
+            raise GradedModalError("catalog entries are not pairwise inequivalent")
+        formulas = [and_all([formulas[previous[b]]] + grades[i]) for _, b, i in new]
+        models = [built[i] for _, _, i in new]
+        level_formulas.append(tuple(formulas))
+    entries = tuple(TypeEntry(i, f, model) for i, (f, model) in enumerate(zip(formulas, models)))
+    return TypeCatalog(sig, cap, depth, entries, tuple(level_formulas))
+
+
+def free_vars(formula: FOFormula) -> frozenset[str]:
+    if isinstance(formula, PropAtom):
+        return frozenset((formula.var,))
+    if isinstance(formula, EdgeAtom):
+        return frozenset((formula.src, formula.dst))
+    if isinstance(formula, Eq):
+        return frozenset((formula.left, formula.right))
+    if isinstance(formula, FONot):
+        return free_vars(formula.child)
+    if isinstance(formula, (FOAnd, FOOr)):
+        return free_vars(formula.left) | free_vars(formula.right)
+    if isinstance(formula, (Exists, Forall)):
+        return free_vars(formula.child) - {formula.var}
+    raise TypeError(f"not an FO formula: {formula!r}")
+
+
+def quantifier_rank(formula: FOFormula) -> int:
+    if isinstance(formula, (PropAtom, EdgeAtom, Eq)):
+        return 0
+    if isinstance(formula, FONot):
+        return quantifier_rank(formula.child)
+    if isinstance(formula, (FOAnd, FOOr)):
+        return max(quantifier_rank(formula.left), quantifier_rank(formula.right))
+    if isinstance(formula, (Exists, Forall)):
+        return quantifier_rank(formula.child) + 1
+    raise TypeError(f"not an FO formula: {formula!r}")
+
+
+def standard_translation(formula: Formula, var: str = "x") -> FOFormula:
+    if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", var):
+        raise ValueError(f"variable {var!r} is not an identifier [A-Za-z][A-Za-z0-9_]*")
+    fresh = (y for y in (f"y{i}" for i in itertools.count(1)) if y != var)
+
+    def st(f: Formula, x: str) -> FOFormula:
+        if isinstance(f, Top):
+            return Eq(x, x)
+        if isinstance(f, Bot):
+            return FONot(Eq(x, x))
+        if isinstance(f, Prop):
+            return PropAtom(f.name, x)
+        if isinstance(f, Not):
+            return FONot(st(f.child, x))
+        if isinstance(f, And):
+            return FOAnd(st(f.left, x), st(f.right, x))
+        if isinstance(f, Or):
+            return FOOr(st(f.left, x), st(f.right, x))
+        if isinstance(f, Diamond):
+            ys = [next(fresh) for _ in range(f.grade)]
+            parts: list[FOFormula] = []
+            for i in range(len(ys)):
+                for j in range(i + 1, len(ys)):
+                    parts.append(FONot(Eq(ys[i], ys[j])))
+            parts.extend(EdgeAtom(f.agent, x, y) for y in ys)
+            parts.extend(st(f.child, y) for y in ys)
+            body = parts[0]
+            for part in parts[1:]:
+                body = FOAnd(body, part)
+            for y in reversed(ys):
+                body = Exists(y, body)
+            return body
+        raise TypeError(f"not a formula: {f!r}")
+
+    return st(formula, var)
+
+
+def format_fo_formula(formula: FOFormula) -> str:
+    if isinstance(formula, PropAtom):
+        return f"{formula.prop}({formula.var})"
+    if isinstance(formula, EdgeAtom):
+        return f"E{formula.agent}({formula.src},{formula.dst})"
+    if isinstance(formula, Eq):
+        return f"{formula.left} = {formula.right}"
+    if isinstance(formula, FONot):
+        return "!" + format_fo_formula(formula.child)
+    if isinstance(formula, FOAnd):
+        return f"({format_fo_formula(formula.left)} & {format_fo_formula(formula.right)})"
+    if isinstance(formula, FOOr):
+        return f"({format_fo_formula(formula.left)} | {format_fo_formula(formula.right)})"
+    if isinstance(formula, Exists):
+        return f"E {formula.var} {format_fo_formula(formula.child)}"
+    if isinstance(formula, Forall):
+        return f"A {formula.var} {format_fo_formula(formula.child)}"
+    raise TypeError(f"not an FO formula: {formula!r}")

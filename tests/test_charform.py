@@ -1,6 +1,7 @@
 import functools
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,7 @@ from helpers import (
 )
 from oracles import (
     exact_catalog_size,
+    level_loop_enumerate_types,
     print_ranked_distinguishing_formula,
     scan_catalog_formula,
     type_descriptors,
@@ -136,6 +138,49 @@ def test_catalog_size_without_grades_or_agents(sig, cap):
     for depth in range(7):
         assert catalog_size(sig, cap, depth) == exact_catalog_size(sig, cap, depth)
     assert catalog_size(sig, cap, 10**9) == 2 ** len(sig.props)
+
+
+def _same_catalog(built, expected):
+    """Equal catalogs whose entry and level formulas are the same objects."""
+    assert (built.signature, built.cap, built.depth) == (expected.signature, expected.cap, expected.depth)
+    assert [e.type_id for e in built.entries] == [e.type_id for e in expected.entries]
+    assert [e.model for e in built.entries] == [e.model for e in expected.entries]
+    assert all(a.formula is b.formula for a, b in zip(built.entries, expected.entries))
+    assert len(built.level_formulas) == len(expected.level_formulas)
+    for level, formulas in zip(built.level_formulas, expected.level_formulas):
+        assert len(level) == len(formulas) and all(a is b for a, b in zip(level, formulas))
+
+
+@pytest.mark.parametrize("sig, cap", [
+    (Signature(("a",), ("p",)), 0),
+    (Signature(("a", "b"), ("p", "q")), 0),
+    (Signature((), ("p",)), 3),
+    (Signature((), ()), 2),
+    (Signature((), ("p", "q", "r")), 0),
+])
+def test_catalog_without_grades_or_agents_repeats_level_zero(sig, cap):
+    for depth in range(7):
+        _same_catalog(enumerate_types(sig, cap, depth), level_loop_enumerate_types(sig, cap, depth))
+    start = time.perf_counter()
+    catalog = enumerate_types(sig, cap, 10**9)
+    assert time.perf_counter() - start < 1
+    assert len(catalog) == 2 ** len(sig.props) and len(catalog.level_formulas) == 10**9 + 1
+    assert catalog.level_formulas[10**9] is catalog.level_formulas[0]
+    assert catalog == enumerate_types(sig, cap, 10**9)
+    with pytest.raises(IndexError):
+        catalog.level_formulas[10**9 + 1]
+
+
+@pytest.mark.parametrize("agents, props, cap, depth", [
+    (("a",), ("p", "q", "r"), 1, 1),
+    (("a",), ("p",), 1, 2),
+    (("a", "b"), (), 1, 2),
+    (("a",), ("p",), 2, 1),
+    (("a", "b"), ("p",), 1, 1),
+])
+def test_catalog_matches_the_level_loop(agents, props, cap, depth):
+    sig = Signature(agents, props)
+    _same_catalog(enumerate_types(sig, cap, depth), level_loop_enumerate_types(sig, cap, depth))
 
 
 @pytest.mark.parametrize("cap, depth, name", [

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import re
 from pathlib import Path
@@ -7,20 +10,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradedmodal import (
+    And,
+    Bot,
     Diamond,
     EvaluationError,
     KripkeStructure,
+    Not,
+    Or,
     ParseError,
     PointedStructure,
     Prop,
     ResourceLimitError,
     Signature,
     SignatureError,
+    Top,
+    characteristic_formula,
     extension,
     find_cap,
     fo_eval,
     fo_q_equivalent,
     format_fo_formula,
+    format_formula,
     is_l_local,
     locality_padding,
     neighborhood,
@@ -62,7 +72,11 @@ from helpers import (
     spaced,
 )
 from oracles import full_tree_terms, naive_fo_eval, naive_fo_q_equivalent, numbered_term
+from oracles import format_fo_formula as recursive_format_fo_formula
+from oracles import free_vars as recursive_free_vars
 from oracles import parse_fo_formula as tuple_parse_fo_formula
+from oracles import quantifier_rank as recursive_quantifier_rank
+from oracles import standard_translation as recursive_standard_translation
 
 
 def test_translation_fixtures():
@@ -714,3 +728,170 @@ def test_fo_q_equivalent_matches_whole_tuple_checks():
             u == v for side in (a, b) for edges in side.structure.edges.values() for u, v in edges
         )
     assert all(seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# The FO walkers against the recursive oracles.
+# ---------------------------------------------------------------------------
+
+
+def _regular_chi(a: str, b: str, p: str, point: int):
+    """The characteristic formula at (2, 3) of a pointed structure over
+    agents a, b and proposition p, given as each world's a- and
+    b-successors (one digit per successor, worlds separated by spaces), the
+    worlds where p holds, and the point."""
+    edges = {
+        agent: {(u, int(v)) for u, vs in enumerate(row.split()) for v in vs}
+        for agent, row in (("a", a), ("b", b))
+    }
+    m = KripkeStructure(Signature(("a", "b"), ("p",)), len(a.split()), edges, {"p": {int(w) for w in p}})
+    return characteristic_formula(PointedStructure(m, point), 2, 3)
+
+
+# The translated texts of one seed-1 deep-formulas benchmark cycle: its six
+# translate queries and its two CLI translations, with their printed lengths.
+_SEED_ONE_CHI = [
+    (_regular_chi(*spec), chars)
+    for *spec, chars in [
+        ("01 04 13 34 02", "02 02 02 03 24", "12", 3, 23344),
+        ("02 03 14 14 25 34", "34 01 35 45 45 45", "024", 5, 26144),
+        ("46 03 35 36 27 05 57 16", "24 26 57 03 02 56 12 03", "1346", 0, 21072),
+        ("16 23 24 03 12 04 02", "56 24 23 26 26 56 46", "046", 1, 22635),
+        ("57 56 45 13 34 27 67 14", "01 04 47 46 35 25 35 34", "1456", 0, 21926),
+        ("12 14 01 03 02", "01 02 04 01 13", "02", 3, 20687),
+        ("26 07 45 26 01 36 56 27", "16 45 16 46 56 67 03 07", "1246", 0, 19702),
+        ("25 15 34 13 23 14", "03 23 01 45 34 03", "345", 0, 20777),
+    ]
+]
+
+
+def test_seed_one_chi_texts_have_their_recorded_lengths():
+    assert [len(format_formula(chi)) for chi, _ in _SEED_ONE_CHI] == [chars for _, chars in _SEED_ONE_CHI]
+
+
+@st.composite
+def _shared_modal_formulas(draw):
+    """Modal formulas built over a pool, so that subformulas repeat, with
+    grades 1-3 under two agents."""
+    pool = [draw(st.sampled_from([Top(), Bot(), Prop("p"), Prop("q")])) for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(0, 7))):
+        x, y = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        grade, agent = draw(st.integers(1, 3)), draw(st.sampled_from("ab"))
+        pool.append(draw(st.sampled_from([Not(x), And(x, y), Or(x, y), Diamond(agent, grade, x)])))
+    return pool[-1]
+
+
+@given(_shared_modal_formulas(), st.sampled_from(["x", "y1", "y2"]))
+@example(_SEED_ONE_CHI[0][0], "x")
+@example(_SEED_ONE_CHI[1][0], "x")
+@example(_SEED_ONE_CHI[2][0], "x")
+@example(_SEED_ONE_CHI[3][0], "x")
+@example(_SEED_ONE_CHI[4][0], "x")
+@example(_SEED_ONE_CHI[5][0], "x")
+@example(_SEED_ONE_CHI[6][0], "x")
+@example(_SEED_ONE_CHI[7][0], "x")
+@example(Diamond("a", 3, Diamond("b", 2, Prop("p"))), "y2")
+@settings(max_examples=200, deadline=None)
+def test_fo_walkers_match_the_recursive_oracles_on_translations(formula, var):
+    # The free variable may be one of the fresh names y1, y2, ..., which the
+    # translation then skips.
+    fo = standard_translation(formula, var)
+    assert fo == recursive_standard_translation(formula, var)
+    assert format_fo_formula(fo) == recursive_format_fo_formula(fo)
+    assert quantifier_rank(fo) == recursive_quantifier_rank(fo)
+    assert free_vars(fo) == recursive_free_vars(fo)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fo_instances())
+def test_fo_walkers_match_the_recursive_oracles_on_fo_formulas(instance):
+    # Universal quantifiers, disjunctions and rebound variables, which no
+    # translation holds.
+    _, _, formula = instance
+    assert format_fo_formula(formula) == recursive_format_fo_formula(formula)
+    assert quantifier_rank(formula) == recursive_quantifier_rank(formula)
+    assert free_vars(formula) == recursive_free_vars(formula)
+
+
+@pytest.mark.parametrize("formula", [
+    "abc",
+    FONot("abc"),
+    FONot(" & "),
+    FONot(")"),
+    FOAnd(PropAtom("p", "x"), ")"),
+    FOOr(None, PropAtom("p", "x")),
+    Exists("y", FOAnd(Eq("x", "y"), 3)),
+    Forall("y", Prop("p")),
+])
+def test_fo_walkers_refuse_a_child_that_is_not_an_fo_formula(formula):
+    walkers = [
+        (format_fo_formula, recursive_format_fo_formula),
+        (quantifier_rank, recursive_quantifier_rank),
+        (free_vars, recursive_free_vars),
+    ]
+    for walker, oracle in walkers:
+        with pytest.raises(TypeError, match="not an FO formula") as expected:
+            oracle(formula)
+        with pytest.raises(TypeError) as raised:
+            walker(formula)
+        assert str(raised.value) == str(expected.value)
+
+
+_FO_NODES = [
+    PropAtom("p", "x"),
+    EdgeAtom("a", "x", "y1"),
+    Eq("x", "y1"),
+    FONot(Eq("y1", "y2")),
+    FOAnd(PropAtom("p", "x"), EdgeAtom("a", "x", "y1")),
+    FOOr(PropAtom("p", "x"), Eq("x", "x")),
+    Exists("y1", FOAnd(EdgeAtom("a", "x", "y1"), PropAtom("p", "y1"))),
+    Forall("y1", FOOr(FONot(EdgeAtom("a", "x", "y1")), PropAtom("p", "y1"))),
+]
+
+
+@pytest.mark.parametrize("node", _FO_NODES, ids=lambda node: type(node).__name__)
+def test_fo_nodes_are_frozen_slotted_and_round_trip(node):
+    field = dataclasses.fields(node)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(node, field, "z")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(node, field)
+    # A name that is no field is refused too; the frozen check of a slotted
+    # dataclass raises TypeError for it on CPython 3.10-3.13.
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        node.extra = "z"
+    assert not hasattr(node, "__dict__")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        loaded = pickle.loads(pickle.dumps(node, protocol))
+        assert type(loaded) is type(node) and loaded == node and hash(loaded) == hash(node)
+    copied = copy.deepcopy(node)
+    assert type(copied) is type(node) and copied == node and hash(copied) == hash(node)
+
+
+def test_fo_node_repr_names_each_field():
+    node = Exists("y1", FOAnd(EdgeAtom("a", "x", "y1"), FONot(Eq("x", "y1"))))
+    assert repr(node) == (
+        "Exists(var='y1', child=FOAnd(left=EdgeAtom(agent='a', src='x', dst='y1'), "
+        "right=FONot(child=Eq(left='x', right='y1'))))"
+    )
+
+
+def test_fo_walkers_on_formulas_ten_thousand_deep():
+    # Printing, rank and free variables keep an explicit stack, so no depth
+    # reaches the recursion limit.
+    n = 10_000
+    negations = quantified = conjunction = PropAtom("p", "x")
+    for _ in range(n):
+        negations = FONot(negations)
+        quantified = Exists("y", quantified)
+        conjunction = FOAnd(conjunction, Eq("x", "y"))
+    cases = [
+        (negations, "!" * n + "p(x)", 0, {"x"}),
+        (quantified, "E y " * n + "p(x)", n, {"x"}),
+        (conjunction, "(" * n + "p(x)" + " & x = y)" * n, 0, {"x", "y"}),
+    ]
+    for formula, text, rank, names in cases:
+        printed = format_fo_formula(formula)
+        assert len(printed) == len(text) and printed == text
+        assert quantifier_rank(formula) == rank
+        assert free_vars(formula) == frozenset(names)
