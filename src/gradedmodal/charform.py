@@ -23,15 +23,24 @@ are exposed:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
+from functools import cache, cached_property, partial
 from itertools import product
 from typing import Optional
 
 from .equivalence import bounded_equivalence, refine_to
 from .errors import GradedModalError, ResourceLimitError, SignatureError
-from .kripke import PointedStructure, Signature, _prop_bits, _realize, disjoint_union, part_offsets
-from .semantics import _truth, satisfies
+from .kripke import (
+    KripkeStructure,
+    PointedStructure,
+    Signature,
+    _prop_bits,
+    _realize,
+    disjoint_union,
+    part_offsets,
+)
+from .semantics import _truth, extension, satisfies
 from .syntax import (
     And,
     Diamond,
@@ -148,9 +157,18 @@ def characteristic_formula(
 
 @dataclass(frozen=True)
 class TypeEntry:
+    """A catalog type: its id (its rank in type order), its defining formula
+    and its canonical model.  The model is built by ``_build``, a function of
+    no arguments, when ``model`` is first read, and then kept; entries
+    compare, hash and print by id and formula alone."""
+
     type_id: int
     formula: Formula
-    model: PointedStructure
+    _build: Callable[[], PointedStructure] = field(repr=False, compare=False)
+
+    @cached_property
+    def model(self) -> PointedStructure:
+        return self._build()
 
 
 @dataclass(frozen=True)
@@ -180,6 +198,11 @@ class TypeCatalog:
     structures, and back the catalog completion mode of
     ``characteristic_formula``.  Without grades or agents it is one level,
     stored once and repeated.
+
+    ``_arena`` is the structure that ``normal_form`` evaluates on, with the
+    world of each entry's type in it, in entry order.  A catalog built
+    without it derives it on first use from the disjoint union of the entry
+    models.
     """
 
     signature: Signature
@@ -187,9 +210,18 @@ class TypeCatalog:
     depth: int
     entries: tuple[TypeEntry, ...]
     level_formulas: Sequence[tuple[Formula, ...]]
+    _arena: Optional[tuple[KripkeStructure, tuple[int, ...]]] = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def _evaluation_arena(self) -> tuple[KripkeStructure, tuple[int, ...]]:
+        if self._arena is None:
+            models = [e.model for e in self.entries]
+            parts = [p.structure for p in models]
+            roots = tuple(offset + p.point for offset, p in zip(part_offsets(parts), models))
+            object.__setattr__(self, "_arena", (disjoint_union(parts), roots))
+        return self._arena
 
     def to_json_dict(self) -> dict:
         from .kripke import dump_structure
@@ -218,6 +250,7 @@ def catalog_size(sig: Signature, cap: int, depth: int) -> int:
     The size is computed level by level, but only while it stays near the
     budget: the exact size can have far more digits than any machine holds.
     """
+    _check_bounds(cap, depth)
     base = 2 ** len(sig.props)
     count = base
     # Without grades or agents, every level holds the atomic types.
@@ -232,6 +265,13 @@ def catalog_size(sig: Signature, cap: int, depth: int) -> int:
     return min(count, CATALOG_BUDGET + 1)
 
 
+def _arena(sig: Signature, atoms_of: list[int], succ: list[list[tuple[int, ...]]]) -> KripkeStructure:
+    """The structure whose world w has the atom id ``atoms_of[w]`` and, per
+    agent in signature order, the sorted successors ``succ[agent][w]``."""
+    valuation = {prop: [w for w, atoms in enumerate(atoms_of) if atoms & bit] for prop, bit in _prop_bits(sig)}
+    return KripkeStructure._assemble(sig, len(atoms_of), valuation, dict(zip(sig.agents, succ)))
+
+
 def enumerate_types(
     sig: Signature,
     cap: int,
@@ -239,59 +279,105 @@ def enumerate_types(
 ) -> TypeCatalog:
     """Materialize every type at the bound with a formula and a canonical model.
 
-    The catalog size is checked against ``CATALOG_BUDGET`` up front, before
-    any materialization.  Canonical models realize a type as a tree with exactly
-    n children per child type, n being the capped count.  Each level refines
-    the previous level's models together with the new ones: a new root's
-    class one level down names the previous type its formula starts with,
-    and the new types are ordered by their class ids, which rank the
-    refinement keys; the new roots' classes must be pairwise distinct.
+    The bounds, then the catalog size against ``CATALOG_BUDGET``, are checked
+    up front, before any type is built.  Each level is ranked on one
+    arena: ``cap`` copies of the root of every type of the lower levels,
+    each copy's successors being the copies one level down, followed by one
+    root per candidate type, whose successors per agent are the first n
+    copies of each type one level down, n being the capped count.  Every
+    world unravels to the canonical tree of its type, so one ``refine_to``
+    ranks the types as it would rank the trees: a new root's class one level
+    down names the previous type its formula starts with, and the new types
+    are ordered by their class ids; the new roots' classes must be pairwise
+    distinct.  An entry's model, the tree with exactly n children per child
+    type, is built when it is first read; the last level's arena is the one
+    ``normal_form`` evaluates on.
     """
-    if cap < 0 or depth < 0:
-        raise ValueError("cap and depth must be nonnegative")
+    _check_bounds(cap, depth)
     if catalog_size(sig, cap, depth) > CATALOG_BUDGET:
         raise ResourceLimitError(
             f"catalog would hold more than {CATALOG_BUDGET} entries, the guard's limit"
         )
 
     atom_options = range(1 << len(sig.props))
-    models = [_realize(sig, atoms, []) for atoms in atom_options]
     formulas = [_atomic_description(sig, atoms) for atoms in atom_options]
     level_formulas = [tuple(formulas)]
+    # specs[level][t]: type t's atom id, per agent its count of each type one
+    # level down, and per agent its successors in the arena.
+    specs = [[(atoms, (), [()] * len(sig.agents)) for atoms in atom_options]]
+    arena = _arena(sig, list(atom_options), [[()] * len(atom_options) for _ in sig.agents])
+    roots = tuple(atom_options)
+    # The arena's worlds below the roots being ranked, as atom ids and per-agent
+    # successors: ``cap`` copies of every type of each level ranked so far.
+    atoms_of: list[int] = []
+    succ: list[list[tuple[int, ...]]] = [[] for _ in sig.agents]
     graded = bool(cap and sig.agents)
     for level in range(1, depth + 1 if graded else 1):
-        count_choices = list(product(range(cap + 1), repeat=len(models)))
-        # options[agent][type][n]: the children and grade conjuncts of n such successors.
-        options = [[[([(agent, model)] * n, _grade_conjuncts(agent, n, cap, formula)) for n in range(cap + 1)]
-                    for model, formula in zip(models, formulas)] for agent in sig.agents]
-        built, grades = [], []
+        base = len(atoms_of)
+        for atoms, _, outs in specs[-1]:
+            atoms_of += [atoms] * cap
+            for column, vs in zip(succ, outs):
+                column += [vs] * cap
+        top = len(atoms_of)
+        count_choices = list(product(range(cap + 1), repeat=len(formulas)))
+        # options[agent][type][n]: the copies and grade conjuncts of n such successors.
+        options = [[[(range(base + t * cap, base + t * cap + n), _grade_conjuncts(agent, n, cap, formula))
+                     for n in range(cap + 1)] for t, formula in enumerate(formulas)] for agent in sig.agents]
+        candidates, grades = [], []
         for atoms in atom_options:
             for combo in product(count_choices, repeat=len(sig.agents)):
-                children, conjuncts = [], []
+                outs, conjuncts = [], []
                 for per_type, counts in zip(options, combo):
+                    vs: list[int] = []
                     for choices, n in zip(per_type, counts):
-                        children += choices[n][0]
+                        vs += choices[n][0]
                         conjuncts += choices[n][1]
-                built.append(_realize(sig, atoms, children))
+                    outs.append(tuple(vs))
+                candidates.append((atoms, combo, outs))
                 grades.append(conjuncts)
-        pointed = models + built
-        parts = [p.structure for p in pointed]
-        offsets = part_offsets(parts)
-        history = refine_to(disjoint_union(parts), cap, offsets, level)
+        arena = _arena(
+            sig,
+            atoms_of + [atoms for atoms, _, _ in candidates],
+            [column + [outs[k] for _, _, outs in candidates] for k, column in enumerate(succ)],
+        )
+        history = refine_to(arena, cap, depth=level)
         below, here = history.levels[level - 1], history.levels[level]
-        roots = [offset + p.point for offset, p in zip(offsets, pointed)]
-        previous = {below[root]: i for i, root in enumerate(roots[: len(models)])}
-        new = sorted((here[root], below[root], i) for i, root in enumerate(roots[len(models) :]))
+        previous = {below[base + t * cap]: t for t in range(len(formulas))}
+        new = sorted((here[top + i], below[top + i], i) for i in range(len(candidates)))
         if len({cls for cls, _, _ in new}) != len(new):
             raise GradedModalError("catalog entries are not pairwise inequivalent")
-        formulas = [and_all([formulas[previous[b]]] + grades[i]) for _, b, i in new]
-        models = [built[i] for _, _, i in new]
+        # Candidates in enumeration order share long prefixes of conjuncts,
+        # so each conjunction extends the longest prefix of the one before.
+        conjunctions, partial_ands, last = [], [], []
+        for i, conjuncts in enumerate(grades):
+            conjuncts.insert(0, formulas[previous[below[top + i]]])
+            shared = 0
+            for f, g in zip(conjuncts, last):
+                if f is not g:
+                    break
+                shared += 1
+            del partial_ands[shared:]
+            for f in conjuncts[shared:]:
+                partial_ands.append(And(partial_ands[-1], f) if partial_ands else f)
+            conjunctions.append(partial_ands[-1])
+            last = conjuncts
+        formulas = [conjunctions[i] for _, _, i in new]
+        specs.append([candidates[i] for _, _, i in new])
+        roots = tuple(top + i for _, _, i in new)
         level_formulas.append(tuple(formulas))
 
-    entries = tuple(TypeEntry(i, f, model) for i, (f, model) in enumerate(zip(formulas, models)))
+    @cache
+    def tree(level: int, t: int) -> PointedStructure:
+        atoms, combo, _ = specs[level][t]
+        children = [(agent, tree(level - 1, s)) for agent, counts in zip(sig.agents, combo)
+                    for s, n in enumerate(counts) for _ in range(n)]
+        return _realize(sig, atoms, children)
+
+    last = len(specs) - 1
+    entries = tuple(TypeEntry(t, f, partial(tree, last, t)) for t, f in enumerate(formulas))
     # Without grades or agents, every level repeats level 0.
     levels = tuple(level_formulas) if graded else _Repeated(level_formulas[0], depth + 1)
-    return TypeCatalog(sig, cap, depth, entries, levels)
+    return TypeCatalog(sig, cap, depth, entries, levels, (arena, roots))
 
 
 def normal_form(
@@ -307,8 +393,12 @@ def normal_form(
     The empty disjunction is ``false``.  Requires the input to lie inside
     the cap/depth fragment.  Without an explicit signature or catalog, the
     signature is inferred from the symbols occurring in the formula.  A
-    catalog must have been built at exactly the cap and depth given.
+    catalog must have been built at exactly the cap and depth given.  The
+    formula is evaluated by one ``extension`` pass over the catalog's arena,
+    in which every type's world satisfies what its model's point does, so
+    no entry model is built.
     """
+    _check_bounds(cap, depth)
     if not in_fragment(formula, FragmentBound(cap, depth)):
         raise ValueError("formula lies outside the requested fragment")
     if catalog is None:
@@ -317,8 +407,9 @@ def normal_form(
         catalog = enumerate_types(signature, cap, depth)
     elif catalog.cap != cap or catalog.depth != depth:
         raise ValueError("catalog bounds differ from the requested bounds")
-    disjuncts = [e.formula for e in catalog.entries if satisfies(e.model, formula)]
-    return or_all(disjuncts)
+    arena, roots = catalog._evaluation_arena()
+    holds = extension(arena, formula)
+    return or_all([e.formula for e, root in zip(catalog.entries, roots) if root in holds])
 
 
 def inferred_signature(formula: Formula) -> Signature:

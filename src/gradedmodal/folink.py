@@ -61,55 +61,70 @@ from .syntax import (
 
 
 class FOFormula:
-    """Base class for first-order formulas over the modal signature."""
+    """Base class for first-order formulas over the modal signature.
+
+    Nodes are frozen dataclasses with their fields as slots and no
+    ``__dict__``; they pickle by their class and field values.
+    """
 
     __slots__ = ()
 
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True)
 class PropAtom(FOFormula):
+    __slots__ = ("prop", "var")
     prop: str
     var: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class EdgeAtom(FOFormula):
+    __slots__ = ("agent", "src", "dst")
     agent: str
     src: str
     dst: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Eq(FOFormula):
+    __slots__ = ("left", "right")
     left: str
     right: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class FONot(FOFormula):
+    __slots__ = ("child",)
     child: FOFormula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class FOAnd(FOFormula):
+    __slots__ = ("left", "right")
     left: FOFormula
     right: FOFormula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class FOOr(FOFormula):
+    __slots__ = ("left", "right")
     left: FOFormula
     right: FOFormula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Exists(FOFormula):
+    __slots__ = ("var", "child")
     var: str
     child: FOFormula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Forall(FOFormula):
+    __slots__ = ("var", "child")
     var: str
     child: FOFormula
 

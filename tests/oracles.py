@@ -47,11 +47,14 @@ level formula, each with its own memo.  ``parse_formula`` and
 (kind, value, start) tuple per token from named groups; ``parse_formula``
 builds every node through its constructor.
 ``level_loop_enumerate_types`` builds and refines every catalog level, even
-when a level only repeats level 0, and builds each combination's children
-and grade conjuncts afresh.  ``standard_translation``, ``format_fo_formula``,
-``quantifier_rank`` and ``free_vars`` are the FO walkers that recurse once
-per node and dispatch by ``isinstance``; the translation draws fresh names
-from chained generators.
+when a level only repeats level 0, turns every candidate type into its own
+tree and refines their disjoint union with the previous level's trees, and
+builds each combination's children and grade conjuncts afresh; its
+entries hold their models as built.  ``per_entry_normal_form`` keeps the
+entries whose models satisfy the formula, one ``satisfies`` call per entry.
+``standard_translation``, ``format_fo_formula``, ``quantifier_rank`` and
+``free_vars`` are the FO walkers that recurse once per node and dispatch by
+``isinstance``; the translation draws fresh names from chained generators.
 """
 
 from __future__ import annotations
@@ -125,6 +128,7 @@ from gradedmodal.syntax import (
     box,
     format_formula,
     nesting_depth,
+    or_all,
 )
 
 
@@ -1070,9 +1074,10 @@ def scan_catalog_formula(target: PointedStructure, catalog, depth: int) -> Formu
 
 
 def level_loop_enumerate_types(sig: Signature, cap: int, depth: int) -> TypeCatalog:
-    """``enumerate_types`` without its budget: every level is built and
-    refined, and each combination of counts builds its own children and
-    grade conjuncts."""
+    """``enumerate_types`` without its budget: every level turns each
+    candidate type into its own tree, refines the disjoint union of the
+    trees together with the previous level's, and each combination of
+    counts builds its own children and grade conjuncts."""
     atom_options = range(1 << len(sig.props))
     models = [_realize(sig, atoms, []) for atoms in atom_options]
     formulas = [_atomic_description(sig, atoms) for atoms in atom_options]
@@ -1102,8 +1107,13 @@ def level_loop_enumerate_types(sig: Signature, cap: int, depth: int) -> TypeCata
         formulas = [and_all([formulas[previous[b]]] + grades[i]) for _, b, i in new]
         models = [built[i] for _, _, i in new]
         level_formulas.append(tuple(formulas))
-    entries = tuple(TypeEntry(i, f, model) for i, (f, model) in enumerate(zip(formulas, models)))
+    entries = tuple(TypeEntry(i, f, lambda m=m: m) for i, (f, m) in enumerate(zip(formulas, models)))
     return TypeCatalog(sig, cap, depth, entries, tuple(level_formulas))
+
+
+def per_entry_normal_form(formula: Formula, catalog: TypeCatalog) -> Formula:
+    """``normal_form`` against a catalog as one ``satisfies`` call per entry model."""
+    return or_all([e.formula for e in catalog.entries if satisfies(e.model, formula)])
 
 
 def free_vars(formula: FOFormula) -> frozenset[str]:

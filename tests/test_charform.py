@@ -35,12 +35,14 @@ from gradedmodal import (
     satisfies,
 )
 from gradedmodal.charform import CATALOG_BUDGET, _conjuncts, inferred_signature
+from gradedmodal.kripke import dump_structure
 from gradedmodal.syntax import and_all
 
 from helpers import (
     SIG_A,
     SIG_AP,
     fan,
+    fragment_formula,
     random_formula,
     random_pair,
     random_signature,
@@ -50,6 +52,7 @@ from helpers import (
 from oracles import (
     exact_catalog_size,
     level_loop_enumerate_types,
+    per_entry_normal_form,
     print_ranked_distinguishing_formula,
     scan_catalog_formula,
     type_descriptors,
@@ -171,16 +174,43 @@ def test_catalog_without_grades_or_agents_repeats_level_zero(sig, cap):
         catalog.level_formulas[10**9 + 1]
 
 
-@pytest.mark.parametrize("agents, props, cap, depth", [
-    (("a",), ("p", "q", "r"), 1, 1),
-    (("a",), ("p",), 1, 2),
-    (("a", "b"), (), 1, 2),
-    (("a",), ("p",), 2, 1),
-    (("a", "b"), ("p",), 1, 1),
-])
+def _feasible_settings():
+    """Every setting with at most 2 agents, 3 propositions, cap 3 and depth 3
+    whose catalog is within budget: five graded cases first, then the rest."""
+    first = [
+        (("a",), ("p", "q", "r"), 1, 1),
+        (("a",), ("p",), 1, 2),
+        (("a", "b"), (), 1, 2),
+        (("a",), ("p",), 2, 1),
+        (("a", "b"), ("p",), 1, 1),
+    ]
+    rest = [
+        (agents, ("p", "q", "r")[:k], cap, depth)
+        for agents in ((), ("a",), ("a", "b"))
+        for k in range(4)
+        for cap in range(4)
+        for depth in range(4)
+        if catalog_size(Signature(agents, ("p", "q", "r")[:k]), cap, depth) <= CATALOG_BUDGET
+    ]
+    return first + [setting for setting in rest if setting not in first]
+
+
+_SETTINGS = _feasible_settings()
+
+
+def test_the_settings_are_every_feasible_one():
+    assert len(_SETTINGS) == len(set(_SETTINGS)) == 143
+
+
+@pytest.mark.parametrize("agents, props, cap, depth", _SETTINGS)
 def test_catalog_matches_the_level_loop(agents, props, cap, depth):
     sig = Signature(agents, props)
-    _same_catalog(enumerate_types(sig, cap, depth), level_loop_enumerate_types(sig, cap, depth))
+    built, expected = enumerate_types(sig, cap, depth), level_loop_enumerate_types(sig, cap, depth)
+    _same_catalog(built, expected)
+    assert [dump_structure(e.model) for e in built.entries] == [dump_structure(e.model) for e in expected.entries]
+    rng = random.Random(f"{agents} {props} {cap} {depth}")
+    for f in [Top(), Bot()] + [fragment_formula(rng, sig, cap, depth) for _ in range(4)]:
+        assert normal_form(f, cap, depth, catalog=built) is per_entry_normal_form(f, expected)
 
 
 @pytest.mark.parametrize("cap, depth, name", [
@@ -201,6 +231,26 @@ def test_chi_and_separator_refuse_bad_bounds_before_any_work(monkeypatch, cap, d
     for other in (fan(2), fan(1)):  # equivalent and inequivalent points
         with pytest.raises(ValueError, match=message):
             distinguishing_formula(a, other, cap, depth)
+
+
+@pytest.mark.parametrize("cap, depth, name", [
+    (None, 2, "cap"), (1.0, 1, "cap"), ("2", 2, "cap"), (-1, 1, "cap"),
+    (1, None, "depth"), (1, 1.0, "depth"), (1, -1, "depth"),
+])
+def test_catalogs_and_normal_forms_refuse_bad_bounds_before_any_work(monkeypatch, cap, depth, name):
+    def no_work(*args, **kwargs):
+        raise AssertionError("bounds are checked before any work")
+
+    sizing = charform.catalog_size
+    for target in ("refine_to", "_realize", "_atomic_description", "extension", "catalog_size", "in_fragment"):
+        monkeypatch.setattr(charform, target, no_work)
+    message = f"^{name} must be a nonnegative integer, got {re.escape(repr(depth if name == 'depth' else cap))}$"
+    with pytest.raises(ValueError, match=message):
+        sizing(SIG_AP, cap, depth)
+    with pytest.raises(ValueError, match=message):
+        enumerate_types(SIG_AP, cap, depth)
+    with pytest.raises(ValueError, match=message):
+        normal_form(Prop("p"), cap, depth, signature=SIG_AP)
 
 
 def test_enumerate_types_counts_and_soundness():
@@ -336,6 +386,40 @@ def test_every_structure_matches_exactly_one_type():
         hits = [e.type_id for e in cat.entries if satisfies(m, e.formula)]
         assert len(hits) == 1
         assert _descriptor(m, 2, 1) == ranked[hits[0]]
+
+
+@pytest.mark.parametrize("agents, props, cap, depth, text", [
+    (("a",), ("p", "q", "r"), 1, 1, "(p | (q | r))"),
+    (("a",), ("p",), 1, 2, "<a:1> (p & !<a:1> p)"),
+])
+def test_catalog_and_normal_form_build_no_entry_model(monkeypatch, agents, props, cap, depth, text):
+    def no_tree(*args):
+        raise AssertionError("a canonical tree was built")
+
+    sig, f = Signature(agents, props), parse_formula(text)
+    monkeypatch.setattr(charform, "_realize", no_tree)
+    catalog = enumerate_types(sig, cap, depth)
+    nf = normal_form(f, cap, depth, catalog=catalog)
+    assert normal_form(f, cap, depth, signature=sig) is nf
+    assert len(catalog) == len({e.formula for e in catalog.entries}) == catalog_size(sig, cap, depth)
+    monkeypatch.undo()
+    expected = level_loop_enumerate_types(sig, cap, depth)
+    assert nf is per_entry_normal_form(f, expected) and nf is not Bot()
+    assert [e.model for e in catalog.entries] == [e.model for e in expected.entries]
+
+
+def test_a_catalog_built_directly_derives_its_arena_once(monkeypatch):
+    catalog = level_loop_enumerate_types(SIG_AP, 1, 2)
+    f = parse_formula("<a:1> (p & !<a:1> p)")
+    nf = normal_form(f, 1, 2, catalog=catalog)
+    assert nf is normal_form(f, 1, 2, catalog=enumerate_types(SIG_AP, 1, 2))
+
+    def no_union(*args, **kwargs):
+        raise AssertionError("the arena was derived again")
+
+    monkeypatch.setattr(charform, "disjoint_union", no_union)
+    g = parse_formula("!<a:1> p")
+    assert normal_form(g, 1, 2, catalog=catalog) is per_entry_normal_form(g, catalog)
 
 
 def test_normal_form_fixtures():

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -119,6 +120,18 @@ def test_types_listing(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["entries"]) == 3
+
+
+def test_types_json_of_a_depth_two_catalog_is_pinned(capsys):
+    # The 512-entry document as the level-by-level union of canonical trees
+    # ranked it; ranking on the compact arena must print it byte for byte.
+    code = run(["types", "--agents", "a", "--props", "p", "--c", "1", "--l", "2", "--json"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert len(json.loads(out)["entries"]) == 512
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e7447f67b86b20b2f1d3c563dc60007cefe401fe8a1928a5fd39b7565347c5b7"
+    )
 
 
 def test_nf(capsys):
