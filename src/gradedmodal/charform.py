@@ -29,18 +29,19 @@ from functools import cache, cached_property, partial
 from itertools import product
 from typing import Optional
 
-from .equivalence import bounded_equivalence, refine_to
+from .equivalence import ColorHistory, bounded_equivalence, refine_to
 from .errors import GradedModalError, ResourceLimitError, SignatureError
 from .kripke import (
     KripkeStructure,
     PointedStructure,
     Signature,
+    _check_bounds,
     _prop_bits,
     _realize,
     disjoint_union,
     part_offsets,
 )
-from .semantics import _truth, extension, satisfies
+from .semantics import _truth, extension
 from .syntax import (
     And,
     Diamond,
@@ -83,13 +84,6 @@ def _grade_conjuncts(agent: str, capped: int, cap: int, child: Formula) -> list[
     return conjuncts
 
 
-def _check_bounds(cap: int, depth: int) -> None:
-    """Refuse a cap or depth that is not a nonnegative int, before any work."""
-    for name, value in (("cap", cap), ("depth", depth)):
-        if not isinstance(value, int) or value < 0:
-            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-
-
 def characteristic_formula(
     target: PointedStructure,
     cap: int,
@@ -104,7 +98,7 @@ def characteristic_formula(
     canonical representative per class.  See the module docstring for the
     three completion modes.
     """
-    _check_bounds(cap, depth)
+    _check_bounds(cap=cap, depth=depth)
     m = target.structure
     sig = m.signature
     if catalog is not None:
@@ -119,8 +113,17 @@ def characteristic_formula(
         memo: dict = {}
         return next(f for f in catalog.level_formulas[depth] if _truth(target, f, memo))
 
-    history = refine_to(m, cap, depth=depth)
+    return _characteristic(refine_to(m, cap, depth=depth), target.point, m.world_count, exclude_unrealized)
 
+
+def _characteristic(history: ColorHistory, point: int, worlds: int, exclude_unrealized: bool) -> Formula:
+    """The characteristic formula of ``point`` at the history's cap and last
+    level, read off ``history``.  The arena's first ``worlds`` worlds hold
+    the point and are closed under successors: their classes rank in the
+    same relative order as when that part is refined alone, so the formula
+    is the one its own history gives."""
+    m = history.arena
+    sig, cap = m.signature, history.cap
     memo: dict[tuple[int, int], Formula] = {}
     # Per level, the least world of each class, indexed when the level is first read.
     firsts: dict[int, dict[int, int]] = {}
@@ -132,7 +135,7 @@ def characteristic_formula(
             return cached
         if level not in firsts:
             labels = history.levels[level]
-            firsts[level] = {labels[w]: w for w in reversed(m.worlds())}
+            firsts[level] = {labels[w]: w for w in reversed(range(worlds))}
         rep = firsts[level][cls]
         if level == 0:
             formula = _atomic_description(sig, m._atom_ids()[rep])
@@ -152,7 +155,7 @@ def characteristic_formula(
         memo[key] = formula
         return formula
 
-    return class_formula(depth, history.levels[depth][target.point])
+    return class_formula(history.rounds, history.levels[-1][point])
 
 
 @dataclass(frozen=True)
@@ -250,7 +253,7 @@ def catalog_size(sig: Signature, cap: int, depth: int) -> int:
     The size is computed level by level, but only while it stays near the
     budget: the exact size can have far more digits than any machine holds.
     """
-    _check_bounds(cap, depth)
+    _check_bounds(cap=cap, depth=depth)
     base = 2 ** len(sig.props)
     count = base
     # Without grades or agents, every level holds the atomic types.
@@ -269,7 +272,9 @@ def _arena(sig: Signature, atoms_of: list[int], succ: list[list[tuple[int, ...]]
     """The structure whose world w has the atom id ``atoms_of[w]`` and, per
     agent in signature order, the sorted successors ``succ[agent][w]``."""
     valuation = {prop: [w for w, atoms in enumerate(atoms_of) if atoms & bit] for prop, bit in _prop_bits(sig)}
-    return KripkeStructure._assemble(sig, len(atoms_of), valuation, dict(zip(sig.agents, succ)))
+    arena = KripkeStructure._assemble(sig, len(atoms_of), valuation, dict(zip(sig.agents, succ)))
+    arena._atoms = tuple(atoms_of)  # the ids ``_atom_ids`` would rebuild from the valuation
+    return arena
 
 
 def enumerate_types(
@@ -293,7 +298,7 @@ def enumerate_types(
     type, is built when it is first read; the last level's arena is the one
     ``normal_form`` evaluates on.
     """
-    _check_bounds(cap, depth)
+    _check_bounds(cap=cap, depth=depth)
     if catalog_size(sig, cap, depth) > CATALOG_BUDGET:
         raise ResourceLimitError(
             f"catalog would hold more than {CATALOG_BUDGET} entries, the guard's limit"
@@ -398,7 +403,7 @@ def normal_form(
     in which every type's world satisfies what its model's point does, so
     no entry model is built.
     """
-    _check_bounds(cap, depth)
+    _check_bounds(cap=cap, depth=depth)
     if not in_fragment(formula, FragmentBound(cap, depth)):
         raise ValueError("formula lies outside the requested fragment")
     if catalog is None:
@@ -440,12 +445,16 @@ def distinguishing_formula(
     Returns None when the points are equivalent at the bound.  Otherwise
     the characteristic formula of ``a`` is pruned down greedily: negated
     conjuncts are preferred, deeper conjuncts first, ties broken by the
-    printed form, and the first conjunct that ``b`` falsifies wins.
+    printed form, and the first conjunct that ``b`` falsifies wins.  The
+    characteristic formula is read off the verdict's own history, whose
+    arena holds ``a`` first, so ``a`` is refined once.
     """
-    _check_bounds(cap, depth)
-    if bounded_equivalence(a, b, cap, depth):
+    _check_bounds(cap=cap, depth=depth)
+    verdict = bounded_equivalence(a, b, cap, depth)
+    if verdict:
         return None
-    conjuncts = _conjuncts(characteristic_formula(a, cap, depth))
+    chi = _characteristic(verdict.history, a.point, a.structure.world_count, True)
+    conjuncts = _conjuncts(chi)
     printed = dict(zip(conjuncts, format_formulas(conjuncts)))
     candidates = sorted(
         conjuncts,
@@ -455,7 +464,9 @@ def distinguishing_formula(
             printed[f],
         ),
     )
+    # The candidates share subformulas, so one truth memo on ``b`` serves them all.
+    memo: dict = {}
     for conjunct in candidates:
-        if not satisfies(b, conjunct):
+        if not _truth(b, conjunct, memo):
             return conjunct
     raise AssertionError("inequivalent points both satisfy the characteristic formula")

@@ -55,6 +55,7 @@ from .syntax import (
     Prop,
     Top,
     _parse_error,
+    _require_formula,
     _tokens,
     format_formula,
 )
@@ -129,43 +130,94 @@ class Forall(FOFormula):
     child: FOFormula
 
 
-def _atoms(formula: FOFormula, top, under):
+def _builder(cls):
+    """The private constructor of the node class ``cls``: ``object.__new__``
+    and one write per field through the class's slot descriptor.  It builds
+    the node that ``cls(...)`` builds, without the frozen dataclass
+    ``__init__`` and its ``object.__setattr__`` call per field."""
+    new = object.__new__
+    setters = [cls.__dict__[name].__set__ for name in cls.__dataclass_fields__]
+    if len(setters) == 1:
+        (set_first,) = setters
+
+        def build(first):
+            node = new(cls)
+            set_first(node, first)
+            return node
+    elif len(setters) == 2:
+        set_first, set_second = setters
+
+        def build(first, second):
+            node = new(cls)
+            set_first(node, first)
+            set_second(node, second)
+            return node
+    else:
+        set_first, set_second, set_third = setters
+
+        def build(first, second, third):
+            node = new(cls)
+            set_first(node, first)
+            set_second(node, second)
+            set_third(node, third)
+            return node
+    return build
+
+
+_PropAtom, _EdgeAtom, _Eq, _FONot, _FOAnd, _FOOr, _Exists, _Forall = map(
+    _builder, (PropAtom, EdgeAtom, Eq, FONot, FOAnd, FOOr, Exists, Forall)
+)
+_function = type(_builder)  # the type of a builder, as a task of ``standard_translation``
+
+
+def _atoms(formula: FOFormula):
     """Each atom of the formula, left to right, with its variables and the
-    value that ``under(value, variable)`` folds from ``top`` over the
-    quantifiers above it.  One explicit stack walks the formula, so no
-    depth reaches the recursion limit."""
-    stack = [(formula, top)]
+    variables bound by the quantifiers above it.  One explicit stack walks
+    the formula, so no depth reaches the recursion limit."""
+    stack = [(formula, frozenset())]
     while stack:
-        f, value = stack.pop()
+        f, bound = stack.pop()
         kind = type(f)
         if kind is FOAnd or kind is FOOr:
-            stack += ((f.right, value), (f.left, value))
+            stack += ((f.right, bound), (f.left, bound))
         elif kind is FONot:
-            stack.append((f.child, value))
+            stack.append((f.child, bound))
         elif kind is Exists or kind is Forall:
-            stack.append((f.child, under(value, f.var)))
+            stack.append((f.child, bound | {f.var}))
         elif kind is PropAtom:
-            yield f, (f.var,), value
+            yield f, (f.var,), bound
         elif kind is EdgeAtom:
-            yield f, (f.src, f.dst), value
+            yield f, (f.src, f.dst), bound
         elif kind is Eq:
-            yield f, (f.left, f.right), value
+            yield f, (f.left, f.right), bound
         else:
             raise TypeError(f"not an FO formula: {f!r}")
 
 
-def _bind(bound: frozenset[str], var: str) -> frozenset[str]:
-    return bound | {var}
-
-
 def free_vars(formula: FOFormula) -> frozenset[str]:
-    return frozenset(
-        var for _, names, bound in _atoms(formula, frozenset(), _bind) for var in names if var not in bound
-    )
+    return frozenset(var for _, names, bound in _atoms(formula) for var in names if var not in bound)
 
 
 def quantifier_rank(formula: FOFormula) -> int:
-    return max(depth for _, _, depth in _atoms(formula, 0, lambda depth, _: depth + 1))
+    """The deepest nesting of quantifiers over an atom; one explicit stack
+    of nodes and their quantifier depths walks the formula."""
+    rank = 0
+    stack = [(formula, 0)]
+    while stack:
+        f, depth = stack.pop()
+        kind = type(f)
+        if kind is FOAnd or kind is FOOr:
+            stack += ((f.right, depth), (f.left, depth))
+        elif kind is FONot:
+            stack.append((f.child, depth))
+        elif kind is Exists or kind is Forall:
+            stack.append((f.child, depth + 1))
+        elif kind is PropAtom or kind is EdgeAtom or kind is Eq:
+            if depth > rank:
+                rank = depth
+        else:
+            raise TypeError(f"not an FO formula: {f!r}")
+    return rank
 
 
 def standard_translation(formula: Formula, var: str = "x") -> FOFormula:
@@ -175,55 +227,87 @@ def standard_translation(formula: Formula, var: str = "x") -> FOFormula:
     distinctness, the k edges, and the translated body at each new
     variable; fresh variables are y1, y2, ... in evaluation order, skipping
     ``var`` so that the free variable is never captured.  ``var`` must be
-    an FO identifier, so that the printed translation parses again.  The
-    translation recurses once per modal nesting level.
+    an FO identifier, so that the printed translation parses again.
+
+    One explicit stack of tasks walks the formula, so no modal nesting
+    depth reaches the recursion limit.  A task is a subformula to translate
+    at the current variable; a name, which becomes the current variable; a
+    node builder, which joins the last one or two translations; or a
+    modality's ``(names, body, variable)``, which conjoins the last
+    ``len(names)`` translations to ``body``, quantifies the names and makes
+    ``variable`` current again.  Children are translated left to right,
+    each one whole before the next, so fresh names are handed out in the
+    order of a recursive walk.
     """
     if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", var):
         raise ValueError(f"variable {var!r} is not an identifier [A-Za-z][A-Za-z0-9_]*")
+    _require_formula(formula)
     used = 0  # the index of the last fresh name handed out or skipped
-
-    def st(f: Formula, x: str) -> FOFormula:
-        nonlocal used
+    x = var
+    done: list[FOFormula] = []  # translations not yet joined, left to right
+    stack: list = [formula]
+    pop, push, emit = stack.pop, stack.append, done.append
+    while stack:
+        f = pop()
         kind = type(f)
-        if kind is And:
-            return FOAnd(st(f.left, x), st(f.right, x))
         if kind is Not:
-            return FONot(st(f.child, x))
-        if kind is Diamond:
+            stack += (_FONot, f.child)
+        elif kind is _function:
+            if f is _FONot:
+                done[-1] = _FONot(done[-1])
+            else:
+                right = done.pop()
+                done[-1] = f(done[-1], right)
+        elif kind is And:
+            stack += (_FOAnd, f.right, f.left)
+        elif kind is Prop:
+            emit(_PropAtom(f.name, x))
+        elif kind is Diamond:
             ys = []
             while len(ys) < f.grade:
                 used += 1
                 if f"y{used}" != var:
                     ys.append(f"y{used}")
             # One left-nested conjunction: distinct names, edges, the child at each name.
-            parts = [FONot(Eq(y, z)) for i, y in enumerate(ys) for z in ys[i + 1:]]
-            parts += [EdgeAtom(f.agent, x, y) for y in ys]
-            body = parts[0]
-            for part in parts[1:]:
-                body = FOAnd(body, part)
-            for y in ys:
-                body = FOAnd(body, st(f.child, y))
+            if len(ys) == 1:
+                body = _EdgeAtom(f.agent, x, ys[0])
+            else:
+                parts = [_FONot(_Eq(y, z)) for i, y in enumerate(ys) for z in ys[i + 1:]]
+                parts += [_EdgeAtom(f.agent, x, y) for y in ys]
+                body = parts[0]
+                for part in parts[1:]:
+                    body = _FOAnd(body, part)
+            push((ys, body, x))
+            child = f.child
             for y in reversed(ys):
-                body = Exists(y, body)
-            return body
-        if kind is Prop:
-            return PropAtom(f.name, x)
-        if kind is Or:
-            return FOOr(st(f.left, x), st(f.right, x))
-        if kind is Top:
-            return Eq(x, x)
-        if kind is Bot:
-            return FONot(Eq(x, x))
-        raise TypeError(f"not a formula: {f!r}")
-
-    return st(formula, var)
+                stack += (child, y)
+        elif kind is str:
+            x = f
+        elif kind is tuple:
+            ys, body, x = f
+            children = done[-len(ys):]
+            del done[-len(ys):]
+            for child in children:
+                body = _FOAnd(body, child)
+            for y in reversed(ys):
+                body = _Exists(y, body)
+            emit(body)
+        elif kind is Or:
+            stack += (_FOOr, f.right, f.left)
+        elif kind is Top:
+            emit(_Eq(x, x))
+        elif kind is Bot:
+            emit(_FONot(_Eq(x, x)))
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+    return done[0]
 
 
 def _check_fo_input(m: KripkeStructure, assigned, formula: FOFormula) -> None:
     """Raise for the first unknown symbol, unassigned free variable or non-FO
     node, left to right, before anything is evaluated."""
     props, agents = m.signature.props, m.signature.agents
-    for f, names, bound in _atoms(formula, frozenset(), _bind):
+    for f, names, bound in _atoms(formula):
         if type(f) is PropAtom and f.prop not in props:
             raise SignatureError(f"unknown proposition {f.prop!r}")
         if type(f) is EdgeAtom and f.agent not in agents:
@@ -1011,7 +1095,7 @@ def parse_fo_formula(text: str) -> FOFormula:
         nonlocal pos
         token = take()
         if token == "!":
-            return FONot(formula())
+            return _FONot(formula())
         if token == "(":
             left = formula()
             op = take()
@@ -1021,27 +1105,27 @@ def parse_fo_formula(text: str) -> FOFormula:
                 fail(f"expected '&', '|' or ')', got {op!r}", pos)
             right = formula()
             expect(")")
-            return FOAnd(left, right) if op == "&" else FOOr(left, right)
+            return _FOAnd(left, right) if op == "&" else _FOOr(left, right)
         if token[0] in ascii_letters:
             following = tokens[pos] if pos < end else " "  # past the end: no token
             if token in ("E", "A") and following[0] in ascii_letters:
-                return (Exists if token == "E" else Forall)(take(), formula())
+                return (_Exists if token == "E" else _Forall)(take(), formula())
             if following == "(":
                 pos += 1
                 first = variable()
                 after = take()
                 if after == ")":
-                    return PropAtom(token, first)
+                    return _PropAtom(token, first)
                 if after != ",":
                     fail(f"expected ',' or ')', got {after!r}", pos)
                 second = variable()
                 expect(")")
                 if not token.startswith("E") or len(token) < 2:
                     fail(f"edge atoms look like E<agent>(u,v), got {token!r}", pos)
-                return EdgeAtom(token[1:], first, second)
+                return _EdgeAtom(token[1:], first, second)
             if following == "=":
                 pos += 1
-                return Eq(token, variable("expected a variable after '='"))
+                return _Eq(token, variable("expected a variable after '='"))
             fail(f"unexpected name {token!r}", pos)
         fail(f"unexpected token {token!r}", pos - 1)
 

@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import ResourceLimitError
-from .kripke import KripkeStructure, PointedStructure
+from .kripke import KripkeStructure, PointedStructure, _check_bounds
 
 DUPLICATOR = "duplicator"
 SPOILER = "spoiler"
@@ -228,8 +228,7 @@ def solve_game(
     pair that lies at the wrong distance from the start.
     """
     a.signature._require_same(b.signature)
-    if cap < 0 or rounds < 0:
-        raise ValueError("cap and rounds must be nonnegative")
+    _check_bounds(cap=cap, rounds=rounds)
     ka, kb = a.structure, b.structure
     agents = ka.signature.agents
     budget = _Budget(STEP_BUDGET)

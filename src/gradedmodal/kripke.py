@@ -31,6 +31,14 @@ def _index(value, name: str) -> int:
         raise TypeError(f"{name}: expected an integer, got {value!r}") from None
 
 
+def _check_bounds(**bounds) -> None:
+    """Refuse a bound that is not a nonnegative int, naming the parameter;
+    called on entry, before any work."""
+    for name, value in bounds.items():
+        if not isinstance(value, int) or value < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Signature:
     """Ordered agent and proposition names shared by a family of structures."""

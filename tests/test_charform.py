@@ -422,6 +422,14 @@ def test_a_catalog_built_directly_derives_its_arena_once(monkeypatch):
     assert normal_form(g, 1, 2, catalog=catalog) is per_entry_normal_form(g, catalog)
 
 
+@pytest.mark.parametrize("agents, props, cap, depth", _SETTINGS[:5])
+def test_catalog_arenas_seed_the_atom_ids_of_their_valuation(agents, props, cap, depth):
+    sig = Signature(agents, props)
+    arena, _ = enumerate_types(sig, cap, depth)._arena
+    recomputed = KripkeStructure._assemble(sig, arena.world_count, arena.valuation, arena._succ)
+    assert arena._atoms is not None and arena._atoms == recomputed._atom_ids()
+
+
 def test_normal_form_fixtures():
     f = parse_formula("<a:2> true")
     nf = normal_form(f, 2, 1, signature=SIG_A)
@@ -513,6 +521,16 @@ def test_distinguishing_formula_matches_the_print_ranked_oracle():
         assert separator is print_ranked_distinguishing_formula(a, b, cap, depth)
         found += separator is not None
     assert found >= 50
+
+
+def test_chi_read_off_the_verdicts_history_is_the_chi_of_the_left_point_alone():
+    rng = random.Random(31)
+    for index in range(120):
+        a, b = (related_pair if index % 2 else random_pair)(rng)
+        cap, depth = rng.randint(0, 3), rng.randint(0, 3)
+        history = bounded_equivalence(a, b, cap, depth).history
+        chi = charform._characteristic(history, a.point, a.structure.world_count, True)
+        assert chi is characteristic_formula(a, cap, depth)
 
 
 def test_conjuncts_flatten_left_to_right():

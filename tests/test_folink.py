@@ -489,6 +489,16 @@ def test_translation_refuses_a_variable_that_does_not_parse(var):
         standard_translation(Diamond("a", 1, Prop("p")), var)
 
 
+@pytest.mark.parametrize("value", ["y1", ("y1", PropAtom("p", "x"), "x"), [Prop("p")], None, PropAtom("p", "x")])
+def test_translation_refuses_what_is_not_a_formula(value):
+    # Names and tuples are also the translation's own stack tasks.
+    with pytest.raises(TypeError, match="not a formula") as expected:
+        recursive_standard_translation(value)
+    with pytest.raises(TypeError) as raised:
+        standard_translation(value)
+    assert str(raised.value) == str(expected.value)
+
+
 def test_free_vars():
     fo = Exists("y", FOAnd(EdgeAtom("a", "x", "y"), Eq("y", "z")))
     assert free_vars(fo) == frozenset({"x", "z"})
@@ -791,6 +801,9 @@ def _shared_modal_formulas(draw):
 @example(_SEED_ONE_CHI[6][0], "x")
 @example(_SEED_ONE_CHI[7][0], "x")
 @example(Diamond("a", 3, Diamond("b", 2, Prop("p"))), "y2")
+@example(Diamond("a", 2, And(Diamond("b", 3, Not(Prop("p"))), Diamond("a", 1, Prop("q")))), "y1")
+@example(_SEED_ONE_CHI[0][0], "y1")
+@example(_SEED_ONE_CHI[1][0], "y2")
 @settings(max_examples=200, deadline=None)
 def test_fo_walkers_match_the_recursive_oracles_on_translations(formula, var):
     # The free variable may be one of the fresh names y1, y2, ..., which the
@@ -849,22 +862,32 @@ _FO_NODES = [
 ]
 
 
-@pytest.mark.parametrize("node", _FO_NODES, ids=lambda node: type(node).__name__)
-def test_fo_nodes_are_frozen_slotted_and_round_trip(node):
-    field = dataclasses.fields(node)[0].name
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(node, field, "z")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        delattr(node, field)
-    # A name that is no field is refused by the same frozen check.
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        node.extra = "z"
-    assert not hasattr(node, "__dict__")
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        loaded = pickle.loads(pickle.dumps(node, protocol))
-        assert type(loaded) is type(node) and loaded == node and hash(loaded) == hash(node)
-    copied = copy.deepcopy(node)
-    assert type(copied) is type(node) and copied == node and hash(copied) == hash(node)
+@pytest.mark.parametrize("public", _FO_NODES, ids=lambda node: type(node).__name__)
+def test_fo_nodes_are_frozen_slotted_and_round_trip(public):
+    # The private constructor that the translation and the parser use builds
+    # a node that cannot be told apart from the public constructor's.
+    build = getattr(folink, f"_{type(public).__name__}")
+    private = build(*(getattr(public, field.name) for field in dataclasses.fields(public)))
+    assert type(private) is type(public) and private == public and hash(private) == hash(public)
+    assert repr(private) == repr(public)
+    for node in (public, private):
+        for field in dataclasses.fields(node):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, field.name, "z")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, field.name)
+        # A name that is no field is refused by the same frozen check.
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.extra = "z"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del node.extra
+        assert not hasattr(node, "__dict__")
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(node, protocol) == pickle.dumps(public, protocol)
+            loaded = pickle.loads(pickle.dumps(node, protocol))
+            assert type(loaded) is type(node) and loaded == public and hash(loaded) == hash(public)
+        copied = copy.deepcopy(node)
+        assert type(copied) is type(node) and copied == public and hash(copied) == hash(public)
 
 
 def test_fo_node_repr_names_each_field():
@@ -894,3 +917,25 @@ def test_fo_walkers_on_formulas_ten_thousand_deep():
         assert len(printed) == len(text) and printed == text
         assert quantifier_rank(formula) == rank
         assert free_vars(formula) == frozenset(names)
+
+
+def test_translations_of_modal_formulas_ten_thousand_deep():
+    # The translation keeps an explicit stack too, so a deep modal formula
+    # translates, prints and ranks without reaching the recursion limit.
+    n = 10_000
+    diamonds = negations = conjunction = Prop("p")
+    for _ in range(n):
+        diamonds = Diamond("a", 1, diamonds)
+        negations = Not(negations)
+        conjunction = And(conjunction, Prop("q"))
+    names = ["x"] + [f"y{i}" for i in range(1, n + 1)]
+    cases = [
+        (diamonds, "".join(f"E {y} (Ea({x},{y}) & " for x, y in zip(names, names[1:])) + f"p(y{n})" + ")" * n, n),
+        (negations, "!" * n + "p(x)", 0),
+        (conjunction, "(" * n + "p(x)" + " & q(x))" * n, 0),
+    ]
+    for formula, text, rank in cases:
+        fo = standard_translation(formula)
+        printed = format_fo_formula(fo)
+        assert len(printed) == len(text) and printed == text
+        assert quantifier_rank(fo) == rank

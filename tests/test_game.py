@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -56,6 +57,20 @@ def test_atomically_distinct_lost_at_round_zero():
 def test_signature_mismatch():
     with pytest.raises(SignatureError):
         solve_game(fan(1), fan(1, Signature(("b",), ())), 1, 1)
+
+
+@pytest.mark.parametrize("cap, rounds, name", [
+    (None, 1, "cap"), (1.5, 1, "cap"), ("1", 1, "cap"), (-1, 1, "cap"),
+    (1, None, "rounds"), (1, 1.0, "rounds"), (1, -1, "rounds"),
+])
+def test_game_refuses_bad_bounds_before_any_work(monkeypatch, cap, rounds, name):
+    def no_work(*args, **kwargs):
+        raise AssertionError("bounds are checked before any table is started")
+
+    monkeypatch.setattr(game, "_layers", no_work)
+    value = rounds if name == "rounds" else cap
+    with pytest.raises(ValueError, match=f"^{name} must be a nonnegative integer, got {re.escape(repr(value))}$"):
+        solve_game(fan(2), fan(1), cap, rounds)
 
 
 def test_budget_guard_is_not_a_verdict(monkeypatch):
